@@ -106,6 +106,10 @@ else
     fi
 fi
 grep -q "at byte" "$tmpdir/stream.err"
+# The benchmark recomposes run_stream from its public calls and checks
+# that both render the same windows; a runtime change that breaks that
+# recomposition fails here, not at benchmark time.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== serve: live telemetry plane (mid-run scrapes + soak RSS bound)"
 # Run a rate-paced soak with the scrape server on an ephemeral port.

@@ -155,13 +155,21 @@ pub(crate) fn parse_target(name: &str) -> Result<Target, ArgError> {
     }
 }
 
-fn parse_method(args: &Args) -> Result<MethodSpec, CmdError> {
+/// `--interval k`, the 1-in-k selection granularity.
+fn parse_interval(args: &Args) -> Result<usize, CmdError> {
     let k: usize = args.opt_num("interval", 50)?;
     if k == 0 {
         return Err(CmdError::usage(
             "--interval must be at least 1 (a 1-in-0 selection is undefined)",
         ));
     }
+    Ok(k)
+}
+
+/// `--method`/`--interval` as a packet-driven method spec. Names the
+/// stream-only reservoir too, so every command lists the same methods.
+fn parse_method(args: &Args) -> Result<MethodSpec, CmdError> {
+    let k = parse_interval(args)?;
     let spec = match args.opt_or("method", "systematic") {
         "systematic" => MethodSpec::Systematic { interval: k },
         "stratified" => MethodSpec::StratifiedRandom { bucket: k },
@@ -174,7 +182,16 @@ fn parse_method(args: &Args) -> Result<MethodSpec, CmdError> {
                 "timer methods need a rate; use `sweep` which derives it",
             ))
         }
-        other => return Err(CmdError::usage(format!("unknown method '{other}'"))),
+        "reservoir" => {
+            return Err(CmdError::usage(
+                "reservoir sampling is stream-only; use `netsample stream`",
+            ))
+        }
+        other => {
+            return Err(CmdError::usage(format!(
+                "unknown method '{other}' (systematic|stratified|random|geometric|reservoir)"
+            )))
+        }
     };
     Ok(spec)
 }
@@ -495,12 +512,7 @@ pub fn flows(args: &Args) -> Result<String, CmdError> {
             )))
         }
     }
-    let k: u64 = args.opt_num("interval", 50)?;
-    if k == 0 {
-        return Err(CmdError::usage(
-            "--interval must be at least 1 (a 1-in-0 selection is undefined)",
-        ));
-    }
+    let k = parse_interval(args)? as u64;
     let reps: u32 = args.opt_num("replications", 5)?;
     if reps == 0 {
         return Err(CmdError::usage("--replications must be at least 1"));
@@ -561,43 +573,22 @@ pub fn flows(args: &Args) -> Result<String, CmdError> {
     Ok(out)
 }
 
-/// Method selection for the streaming engine. Mirrors [`parse_method`]
-/// plus the stream-only reservoir; `random` additionally needs
+/// Method selection for the streaming engine: the stream-only
+/// reservoir, or any [`parse_method`] spec. `random` additionally needs
 /// `--population` (the engine rejects it otherwise, pointing at the
 /// reservoir as the hint-free alternative).
 pub(crate) fn parse_stream_method(args: &Args) -> Result<StreamMethod, CmdError> {
-    let k: usize = args.opt_num("interval", 50)?;
-    if k == 0 {
-        return Err(CmdError::usage(
-            "--interval must be at least 1 (a 1-in-0 selection is undefined)",
-        ));
+    if args.opt_or("method", "systematic") != "reservoir" {
+        return parse_method(args).map(StreamMethod::Spec);
     }
-    let method = match args.opt_or("method", "systematic") {
-        "systematic" => StreamMethod::Spec(MethodSpec::Systematic { interval: k }),
-        "stratified" => StreamMethod::Spec(MethodSpec::StratifiedRandom { bucket: k }),
-        "geometric" => StreamMethod::Spec(MethodSpec::GeometricSkip { mean_interval: k }),
-        "random" => StreamMethod::Spec(MethodSpec::SimpleRandom {
-            fraction: 1.0 / k as f64,
-        }),
-        "reservoir" => {
-            let capacity: usize = args.opt_num("capacity", 100)?;
-            if capacity == 0 {
-                return Err(CmdError::usage("--capacity must be at least 1"));
-            }
-            StreamMethod::Reservoir { capacity }
-        }
-        "sys-timer" | "strat-timer" => {
-            return Err(CmdError::usage(
-                "timer methods need a rate; use `sweep` which derives it",
-            ))
-        }
-        other => {
-            return Err(CmdError::usage(format!(
-                "unknown method '{other}' (systematic|stratified|random|geometric|reservoir)"
-            )))
-        }
-    };
-    Ok(method)
+    // The reservoir ignores the interval, but a 1-in-0 flag is a usage
+    // error for every method.
+    parse_interval(args)?;
+    let capacity: usize = args.opt_num("capacity", 100)?;
+    if capacity == 0 {
+        return Err(CmdError::usage("--capacity must be at least 1"));
+    }
+    Ok(StreamMethod::Reservoir { capacity })
 }
 
 /// One scored window as a JSONL record (hand-rendered; the workspace
@@ -629,12 +620,8 @@ fn jsonl_record(w: &streamkit::WindowReport) -> String {
     // flows that began in-window (SYN-marked).
     let _ = write!(s, ",\"flows\":{},\"syn_flows\":{}", w.flows, w.syn_flows);
     // The same telemetry the live scrape endpoint exposes, per window:
-    // cumulative shed count, emission→score lag, and process RSS.
-    let _ = write!(
-        s,
-        ",\"shed\":{},\"lag_us\":{},\"rss_kb\":{}",
-        w.shed_packets, w.lag_us, w.rss_kb
-    );
+    // cumulative shed count and process RSS.
+    let _ = write!(s, ",\"shed\":{},\"rss_kb\":{}", w.shed_packets, w.rss_kb);
     match &w.report {
         Some(r) => {
             let _ = write!(
@@ -697,7 +684,6 @@ pub fn stream(args: &Args) -> Result<String, CmdError> {
             )))
         }
     };
-    cfg.jobs = parkit::default_jobs();
     if let Some(rule) = args.opt("adaptive-shed") {
         cfg.adaptive_shed = Some(rule.to_string());
         // The control loop reads alert_active{rule}, which only flips on
@@ -1272,9 +1258,9 @@ mod tests {
         assert_eq!(lines.len(), windows, "one JSONL record per window");
         assert!(lines[0].starts_with("{\"index\":0,"), "{}", lines[0]);
         assert!(lines[0].contains("\"phi\":"), "{}", lines[0]);
-        // Every record carries the telemetry triple alongside the score.
+        // Every record carries the telemetry pair alongside the score.
         for line in &lines {
-            for field in ["\"shed\":", "\"lag_us\":", "\"rss_kb\":"] {
+            for field in ["\"shed\":", "\"rss_kb\":"] {
                 assert!(line.contains(field), "missing {field} in {line}");
             }
         }

@@ -238,7 +238,6 @@ fn record(args: &Args) -> Result<String, CmdError> {
                     WindowSpec::Count(10_000),
                 );
                 cfg.seed = seed;
-                cfg.jobs = jobs;
                 let started = Instant::now();
                 let _summary = run_stream(capture.as_slice(), &cfg)
                     .map_err(|e| CmdError::data(format!("stream workload: {e}")))?;

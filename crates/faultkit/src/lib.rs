@@ -16,9 +16,10 @@
 //!   drives an allocation past the bytes actually present.
 //! * **State-machine fuzzing** ([`statefuzz`]): `offer` sequences with
 //!   adversarial timestamps (zero, equal runs, `u64::MAX`,
-//!   non-monotone) through all eight samplers, plus degenerate-bin
-//!   inputs through [`sampling::disparity`]. The contract: no panic, no
-//!   hang, determinism under `reset`, and φ finite in `[0, √2]`.
+//!   non-monotone) through the seven batch samplers and the streaming
+//!   reservoir, plus degenerate-bin inputs through
+//!   [`sampling::disparity`]. The contract: no panic, no hang,
+//!   determinism under `reset`, and φ finite in `[0, √2]`.
 //!
 //! Everything is a pure function of the configured seed: two runs with
 //! the same seed produce byte-identical reports (a stable `digest`

@@ -66,7 +66,6 @@ impl Default for SeriesConfig {
             fidelity_keys: vec![
                 "proc_rss_kb".to_string(),
                 "stream_channel_depth{stage=\"transform\"}".to_string(),
-                "stream_channel_depth{stage=\"score\"}".to_string(),
             ],
             fidelity_ks: vec![2, 5, 10],
         }

@@ -1,15 +1,15 @@
 //! Configuration, validation, and the one-call entry point.
 //!
 //! [`run_stream`] validates a [`StreamConfig`], opens a
-//! [`CaptureStream`] over any `Read` source, and drives the staged
+//! [`CaptureStream`] over any `Read` source, and drives the two-stage
 //! pipeline to a [`StreamSummary`]. All configuration errors surface
 //! *before* the first packet is read; a mid-stream decode fault
 //! surfaces as [`StreamError::Ingest`] with the byte offset of the
 //! broken structure, mirroring the salvage reader's reporting.
 
-use crate::pipeline::{run_pipeline, Backpressure, PipelineParams};
+use crate::pipeline::{run_pipeline, Backpressure};
 use crate::sampler::StreamMethod;
-use crate::window::{WindowSpec, Windower};
+use crate::window::WindowSpec;
 use nettrace::{CaptureStream, Histogram, Micros, TraceError};
 use sampling::{BuildError, DisparityReport, MethodSpec, Target};
 use std::io::Read;
@@ -38,12 +38,10 @@ pub struct StreamConfig {
     pub population_hint: Option<usize>,
     /// Packets per ingestion batch.
     pub batch: usize,
-    /// Bounded channel depth, in batches (and scored windows).
+    /// Bounded channel depth, in batches.
     pub queue: usize,
     /// Policy when the ingestion queue is full.
     pub backpressure: Backpressure,
-    /// Worker threads for window scoring (bit-identical at any level).
-    pub jobs: usize,
     /// Score each window against this fixed reference instead of the
     /// window's own population. Bins must match the target's.
     pub reference: Option<Histogram>,
@@ -59,7 +57,7 @@ pub struct StreamConfig {
 impl StreamConfig {
     /// A config with the defaults the CLI uses: tumbling, replication
     /// 0, seed 1993, 512-packet batches, queue depth 4, blocking
-    /// backpressure, serial scoring.
+    /// backpressure.
     #[must_use]
     pub fn new(method: StreamMethod, target: Target, window: WindowSpec) -> Self {
         StreamConfig {
@@ -73,7 +71,6 @@ impl StreamConfig {
             batch: 512,
             queue: 4,
             backpressure: Backpressure::Block,
-            jobs: 1,
             reference: None,
             adaptive_shed: None,
         }
@@ -149,10 +146,8 @@ pub struct WindowReport {
     /// Packets shed by backpressure across the run so far, sampled when
     /// this window was scored (cumulative, monotone across windows).
     pub shed_packets: u64,
-    /// Queueing lag: wall time from window emission to scoring, µs.
-    pub lag_us: u64,
-    /// Process RSS in kB when this window's score chunk ran (0 when
-    /// procfs is unavailable).
+    /// Process RSS in kB, read at most one telemetry interval before
+    /// this window was scored (0 when procfs is unavailable).
     pub rss_kb: u64,
     /// The window's disparity scores (`None` when the sample — or the
     /// reference — was empty).
@@ -263,8 +258,8 @@ fn validate(cfg: &StreamConfig) -> Result<(), StreamError> {
             ));
         }
     }
-    // Probe-build the sampler so degenerate methods fail here, not in
-    // the transform thread. The real build differs only in its window
+    // Probe-build the sampler so degenerate methods fail here, not
+    // mid-stream. The real build differs only in its window
     // anchor, which cannot affect fallibility.
     cfg.method
         .build(Micros::ZERO, cfg.population_hint, cfg.replication, cfg.seed)?;
@@ -289,37 +284,7 @@ pub fn run_stream<R: Read + Send>(
     validate(cfg)?;
     let stream =
         CaptureStream::new(reader).map_err(|error| StreamError::Ingest { offset: 0, error })?;
-    let format = stream.format();
-    let method = cfg.method;
-    let target = cfg.target;
-    let (window, slide) = (cfg.window, cfg.slide);
-    let (replication, seed, hint) = (cfg.replication, cfg.seed, cfg.population_hint);
-    let make = move |window_start: Micros| {
-        let sampler = method
-            .build(window_start, hint, replication, seed)
-            .expect("method construction was validated before streaming");
-        Windower::new(target, window, slide, sampler)
-    };
-    let params = PipelineParams {
-        batch: cfg.batch,
-        queue: cfg.queue,
-        backpressure: cfg.backpressure,
-        jobs: cfg.jobs,
-        reference: cfg.reference.as_ref(),
-        shed_rule: cfg.adaptive_shed.as_deref(),
-    };
-    let out = run_pipeline(stream, make, &params)
-        .map_err(|(offset, error)| StreamError::Ingest { offset, error })?;
-    Ok(StreamSummary {
-        format,
-        method: method.name(),
-        target,
-        packets: out.packets,
-        selected: out.selected,
-        dropped_batches: out.dropped_batches,
-        dropped_packets: out.dropped_packets,
-        windows: out.windows,
-    })
+    run_pipeline(stream, cfg)
 }
 
 #[cfg(test)]
@@ -358,26 +323,6 @@ mod tests {
             assert!(r.phi.is_finite());
         }
         assert!(summary.mean_phi().is_some());
-    }
-
-    #[test]
-    fn parallel_scoring_is_bit_identical_to_serial() {
-        let bytes = capture(3_000);
-        let mut cfg =
-            StreamConfig::new(systematic(7), Target::Interarrival, WindowSpec::Count(100));
-        let serial = run_stream(bytes.as_slice(), &cfg).unwrap();
-        cfg.jobs = 4;
-        let parallel = run_stream(bytes.as_slice(), &cfg).unwrap();
-        assert_eq!(serial.windows.len(), parallel.windows.len());
-        for (a, b) in serial.windows.iter().zip(&parallel.windows) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.packets, b.packets);
-            match (a.report, b.report) {
-                (Some(x), Some(y)) => assert_eq!(x.phi.to_bits(), y.phi.to_bits()),
-                (None, None) => {}
-                _ => panic!("score presence diverged"),
-            }
-        }
     }
 
     #[test]

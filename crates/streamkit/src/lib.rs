@@ -21,11 +21,17 @@
 //!   sliding windows over packet count or time, each carrying the
 //!   paper's size/interarrival histograms, and emits a per-window φ
 //!   against the window's own population or a fixed reference;
-//! * **pipeline runtime** — [`run_stream`] wires source → sampler →
-//!   scorer → sink over bounded channels with explicit backpressure
-//!   (block, or drop-with-counter), obskit counters and spans per
-//!   stage, and parkit-scored windows whose merged output is
-//!   bit-identical to the serial run.
+//! * **pipeline runtime** — [`run_stream`] runs two stages joined by
+//!   one bounded channel with explicit backpressure (block, or
+//!   drop-with-counter) and live obskit counters:
+//!
+//!   ```text
+//!     source thread              calling thread
+//!     CaptureStream ──batches──▶ Windower ──▶ disparity ──▶ reports
+//!   ```
+//!
+//!   A helper thread decodes; the thread that called [`run_stream`]
+//!   windows, samples, and scores each window the moment it closes.
 //!
 //! The streaming path reproduces the batch
 //! [`Experiment`](sampling::Experiment) exactly: one tumbling window

@@ -1,21 +1,24 @@
-//! The staged streaming runtime: source → sampler/windower → scorer.
+//! The streaming runtime: a decode thread feeding a caller that
+//! windows and scores inline.
 //!
-//! Three stages connected by **bounded** channels, so memory stays
+//! Two stages joined by one **bounded** channel, so memory stays
 //! O(queue × batch + window) no matter how large the capture is:
 //!
 //! ```text
-//!   source thread          transform thread         main thread
-//!   CaptureStream ──batches──▶ Windower ──windows──▶ scorer (parkit)
+//!   source thread              calling thread
+//!   CaptureStream ──batches──▶ Windower ──▶ sampling::disparity ──▶ reports
 //! ```
+//!
+//! Decode overlaps windowing, the two costly stages. Each window is
+//! scored the moment the windower closes it: φ costs microseconds per
+//! window, too little to earn a thread or a channel of its own.
 //!
 //! Backpressure at the ingestion edge is explicit policy: [`Block`]
 //! (lossless; the reader stalls until the sampler catches up — the
 //! right default for files) or [`DropNewest`] (a full queue sheds the
 //! freshest batch and counts it — the live-capture stance, where the
 //! kernel would drop anyway and an honest counter beats a silent
-//! stall). Window scoring fans out over a [`parkit::Pool`]; outputs
-//! are merged in window order, so any `--jobs` level is bit-identical
-//! to serial.
+//! stall).
 //!
 //! **Scrape-driven adaptive control**: when the engine names a shed
 //! rule ([`crate::StreamConfig::adaptive_shed`]), the source stage
@@ -31,16 +34,14 @@
 //! [`Block`]: Backpressure::Block
 //! [`DropNewest`]: Backpressure::DropNewest
 
-use crate::engine::WindowReport;
+use crate::engine::{StreamConfig, StreamError, StreamSummary, WindowReport};
 use crate::window::{WindowPayload, Windower};
-use nettrace::{CaptureStream, Histogram, Micros, PacketRecord, TraceError};
-use parkit::Pool;
+use nettrace::{CaptureStream, Histogram, PacketRecord, TraceError};
 use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Policy when the ingestion queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -61,81 +62,63 @@ impl std::fmt::Display for Backpressure {
     }
 }
 
-/// Runtime knobs the engine resolves before launching the pipeline.
-pub(crate) struct PipelineParams<'a> {
-    pub batch: usize,
-    pub queue: usize,
-    pub backpressure: Backpressure,
-    pub jobs: usize,
-    pub reference: Option<&'a Histogram>,
-    /// Alert rule whose `alert_active{rule=...}` gauge widens shedding
-    /// while it fires (`None` = static backpressure policy).
-    pub shed_rule: Option<&'a str>,
-}
-
-/// What the pipeline hands back to the engine.
-pub(crate) struct PipelineOutput {
-    pub packets: u64,
-    pub selected: u64,
-    pub dropped_batches: u64,
-    pub dropped_packets: u64,
-    pub windows: Vec<WindowReport>,
-}
-
 enum SourceMsg {
     Batch(Vec<PacketRecord>),
-    Done {
-        dropped_batches: u64,
-        dropped_packets: u64,
-    },
-    Fault {
-        offset: u64,
-        error: TraceError,
-    },
+    Done,
+    Fault { offset: u64, error: TraceError },
 }
 
-enum StageMsg {
-    /// A completed window plus its emission instant, so the scorer can
-    /// report queueing lag (`lag_us`) per window.
-    Window(Box<WindowPayload>, Instant),
-    Done {
-        packets: u64,
-        selected: u64,
-        dropped_batches: u64,
-        dropped_packets: u64,
-    },
-    Fault {
-        offset: u64,
-        error: TraceError,
-    },
+/// A process-wide obskit counter plus this run's own share of it, so a
+/// run's summary (and its tests) never see another run's increments.
+struct Tally {
+    global: obskit::Counter,
+    run: AtomicU64,
 }
 
-/// Live per-run telemetry shared across the three stages.
+impl Tally {
+    fn new(name: &str) -> Tally {
+        Tally {
+            global: obskit::counter(name),
+            run: AtomicU64::new(0),
+        }
+    }
+
+    fn add(&self, n: u64) {
+        self.global.add(n);
+        self.run.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Relaxed suffices: the summary reads final totals only after
+    /// receiving the source's terminal message, and the channel orders
+    /// that receive after every `add` the source made.
+    fn run(&self) -> u64 {
+        self.run.load(Ordering::Relaxed)
+    }
+}
+
+/// Live per-run telemetry shared by the two stages.
 ///
 /// The obskit counters/gauges are flushed *per batch / per window*
 /// (not at end of run) so a concurrent `/metrics` scrape sees them
-/// move; `shed_packets` additionally keeps a run-local total so a
-/// [`WindowReport`] can carry the shed count of *this* run even when
+/// move; the [`Tally`] fields also keep run-local totals, so a
+/// [`WindowReport`] carries the shed count of *this* run even when
 /// several runs share the process-wide registry.
 struct LiveStats {
     packets: obskit::Counter,
     batches: obskit::Counter,
-    shed_packets_total: obskit::Counter,
-    shed_batches_total: obskit::Counter,
-    stalls: obskit::Counter,
-    depth_ingest: obskit::Gauge,
-    depth_score: obskit::Gauge,
-    windows_emitted: obskit::Counter,
+    depth: obskit::Gauge,
     windows_scored: obskit::Counter,
-    adaptive_shed: obskit::Counter,
-    shed_packets: AtomicU64,
+    shed_packets: Tally,
+    shed_batches: Tally,
+    stalls: Tally,
+    adaptive_shed: Tally,
 }
 
 impl LiveStats {
-    fn new() -> Arc<LiveStats> {
+    fn new() -> LiveStats {
         obskit::global().describe(
             "stream_channel_depth",
-            "Occupancy of the bounded inter-stage channels, by consuming stage.",
+            "Occupancy of the bounded source-to-windower channel, in batches.",
         );
         obskit::global().describe(
             "stream_shed_total",
@@ -145,19 +128,16 @@ impl LiveStats {
             "stream_adaptive_shed_total",
             "Packets shed because an adaptive-shed alert rule was firing.",
         );
-        Arc::new(LiveStats {
+        LiveStats {
             packets: obskit::counter("stream_packets_ingested_total"),
             batches: obskit::counter("stream_batches_ingested_total"),
-            shed_packets_total: obskit::counter("stream_shed_total"),
-            shed_batches_total: obskit::counter("stream_shed_batches_total"),
-            stalls: obskit::counter("stream_backpressure_stalls_total"),
-            depth_ingest: obskit::gauge_labeled("stream_channel_depth", &[("stage", "transform")]),
-            depth_score: obskit::gauge_labeled("stream_channel_depth", &[("stage", "score")]),
-            windows_emitted: obskit::counter("stream_windows_emitted_total"),
+            depth: obskit::gauge_labeled("stream_channel_depth", &[("stage", "transform")]),
             windows_scored: obskit::counter("stream_windows_scored_total"),
-            adaptive_shed: obskit::counter("stream_adaptive_shed_total"),
-            shed_packets: AtomicU64::new(0),
-        })
+            shed_packets: Tally::new("stream_shed_total"),
+            shed_batches: Tally::new("stream_shed_batches_total"),
+            stalls: Tally::new("stream_backpressure_stalls_total"),
+            adaptive_shed: Tally::new("stream_adaptive_shed_total"),
+        }
     }
 }
 
@@ -198,7 +178,7 @@ fn send_blocking_counted(
     match tx.try_send(SourceMsg::Batch(batch)) {
         Ok(()) => SendOutcome::Sent,
         Err(TrySendError::Full(msg)) => {
-            stats.stalls.inc();
+            stats.stalls.add(1);
             match tx.send(msg) {
                 Ok(()) => SendOutcome::Sent,
                 Err(_) => SendOutcome::Closed,
@@ -227,16 +207,11 @@ fn source_loop<R: Read>(
     // "Widened" shedding threshold: once the alert fires, shed at half
     // queue occupancy instead of waiting for a full queue.
     let hiwater = i64::try_from(queue / 2).unwrap_or(i64::MAX).max(1);
-    let mut dropped_batches = 0u64;
-    let mut dropped_packets = 0u64;
     loop {
         let mut buf = Vec::with_capacity(batch);
         match stream.next_batch(batch, &mut buf) {
             Ok(0) => {
-                let _ = tx.send(SourceMsg::Done {
-                    dropped_batches,
-                    dropped_packets,
-                });
+                let _ = tx.send(SourceMsg::Done);
                 break;
             }
             Ok(n) => {
@@ -245,13 +220,13 @@ fn source_loop<R: Read>(
                 obskit::telemetry::touch_ingest();
                 // Inc the depth gauge *before* the send so the consumer's
                 // dec never races it below zero.
-                stats.depth_ingest.add(1);
+                stats.depth.add(1);
                 let firing = shed_gauge.as_ref().is_some_and(|g| g.get() >= 1);
                 let outcome = if firing {
                     // Alert firing: widen shedding. Never stall (Block
                     // escalates to drop-newest) and shed proactively
                     // past the half-occupancy high-water mark.
-                    if stats.depth_ingest.get() > hiwater {
+                    if stats.depth.get() > hiwater {
                         SendOutcome::Dropped(buf.len() as u64)
                     } else {
                         send_with_policy(&tx, buf, Backpressure::DropNewest)
@@ -265,18 +240,15 @@ fn source_loop<R: Read>(
                 match outcome {
                     SendOutcome::Sent => {}
                     SendOutcome::Dropped(shed) => {
-                        stats.depth_ingest.add(-1);
-                        dropped_batches += 1;
-                        dropped_packets += shed;
-                        stats.shed_batches_total.inc();
-                        stats.shed_packets_total.add(shed);
-                        stats.shed_packets.fetch_add(shed, Ordering::Relaxed);
+                        stats.depth.add(-1);
+                        stats.shed_batches.add(1);
+                        stats.shed_packets.add(shed);
                         if firing {
                             stats.adaptive_shed.add(shed);
                         }
                     }
                     SendOutcome::Closed => {
-                        stats.depth_ingest.add(-1);
+                        stats.depth.add(-1);
                         break;
                     }
                 }
@@ -292,86 +264,25 @@ fn source_loop<R: Read>(
     }
 }
 
-/// Drive the windower over incoming batches and forward completed
-/// windows. The windower (and through it the sampler) is built lazily
-/// at the first packet, whose timestamp anchors the sampling schedule
-/// exactly like the batch path's `window_start`.
-fn transform_loop<F>(
-    rx: mpsc::Receiver<SourceMsg>,
-    tx: SyncSender<StageMsg>,
-    make_windower: F,
-    stats: &LiveStats,
-) where
-    F: FnOnce(Micros) -> Windower,
-{
-    let _span = obskit::span_labeled("stream_stage", &[("stage", "transform")]);
-    let mut make = Some(make_windower);
-    let mut windower: Option<Windower> = None;
-    let mut closed = false;
-    let send_window = |payload: WindowPayload| {
-        stats.windows_emitted.inc();
-        stats.depth_score.add(1);
-        let sent = tx
-            .send(StageMsg::Window(Box::new(payload), Instant::now()))
-            .is_ok();
-        if !sent {
-            stats.depth_score.add(-1);
-        }
-        sent
-    };
-    'messages: for msg in rx {
-        match msg {
-            SourceMsg::Batch(pkts) => {
-                stats.depth_ingest.add(-1);
-                let Some(first) = pkts.first() else { continue };
-                if windower.is_none() {
-                    windower = Some((make.take().expect("built once"))(first.timestamp));
-                }
-                let w = windower.as_mut().expect("windower");
-                for payload in w.offer_slice(&pkts) {
-                    if !send_window(payload) {
-                        closed = true;
-                        break 'messages;
-                    }
-                }
-            }
-            SourceMsg::Done {
-                dropped_batches,
-                dropped_packets,
-            } => {
-                let (packets, selected) = match windower.as_mut() {
-                    Some(w) => {
-                        for payload in w.finish() {
-                            if !send_window(payload) {
-                                closed = true;
-                                break 'messages;
-                            }
-                        }
-                        (w.packets(), w.selected())
-                    }
-                    None => (0, 0),
-                };
-                let _ = tx.send(StageMsg::Done {
-                    packets,
-                    selected,
-                    dropped_batches,
-                    dropped_packets,
-                });
-                break;
-            }
-            SourceMsg::Fault { offset, error } => {
-                let _ = tx.send(StageMsg::Fault { offset, error });
-                break;
-            }
-        }
-    }
-    let _ = closed;
+/// Build the windower (and through it the sampler) at the first
+/// packet, whose timestamp anchors the sampling schedule exactly like
+/// the batch path's `window_start`.
+fn windower_at(cfg: &StreamConfig, first: &PacketRecord) -> Windower {
+    let sampler = cfg
+        .method
+        .build(
+            first.timestamp,
+            cfg.population_hint,
+            cfg.replication,
+            cfg.seed,
+        )
+        .expect("method construction was validated before streaming");
+    Windower::new(cfg.target, cfg.window, cfg.slide, sampler)
 }
 
-fn score_one(
+fn score(
     p: &WindowPayload,
     reference: Option<&Histogram>,
-    emitted_at: Instant,
     shed_packets: u64,
     rss_kb: u64,
 ) -> WindowReport {
@@ -391,116 +302,101 @@ fn score_one(
         flows: p.flows,
         syn_flows: p.syn_flows,
         shed_packets,
-        lag_us: u64::try_from(emitted_at.elapsed().as_micros()).unwrap_or(u64::MAX),
         rss_kb,
         report,
     }
 }
 
-/// Score a chunk of pending windows on the pool. `Pool::run` places
-/// outputs by task index, so report order — and every bit of every φ —
-/// is identical at any worker count. Telemetry fields are sampled once
-/// per chunk: shed count and RSS are per-run/process facts, not
-/// per-window ones, and a chunk scores within a few milliseconds.
-fn score_chunk(
-    pool: &Pool,
-    reference: Option<&Histogram>,
-    pending: &mut Vec<(WindowPayload, Instant)>,
-    reports: &mut Vec<WindowReport>,
-    stats: &LiveStats,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let _span = obskit::span_labeled("stream_stage", &[("stage", "score")]);
-    let batch = std::mem::take(pending);
-    let shed = stats.shed_packets.load(Ordering::Relaxed);
-    let rss_kb = obskit::telemetry::rss_kb().unwrap_or(0);
-    let scored = pool
-        .run(batch.len(), |i| {
-            let (payload, emitted_at) = &batch[i];
-            score_one(payload, reference, *emitted_at, shed, rss_kb)
-        })
-        .unwrap_or_else(|e| panic!("window scoring failed: {e}"));
-    stats.windows_scored.add(batch.len() as u64);
-    reports.extend(scored);
-}
-
-/// Windows buffered before a scoring fan-out. Small enough to keep the
-/// sink responsive, large enough to amortize pool dispatch.
-const SCORE_CHUNK: usize = 64;
-
-/// Run the full pipeline to completion.
-pub(crate) fn run_pipeline<R, F>(
+/// Run the pipeline to completion: decode on one helper thread, window
+/// and score on the calling thread.
+pub(crate) fn run_pipeline<R: Read + Send>(
     stream: CaptureStream<R>,
-    make_windower: F,
-    params: &PipelineParams<'_>,
-) -> Result<PipelineOutput, (u64, TraceError)>
-where
-    R: Read + Send,
-    F: FnOnce(Micros) -> Windower + Send,
-{
-    let batch = params.batch.max(1);
-    let queue = params.queue.max(1);
-    let policy = params.backpressure;
-    let pool = Pool::new(params.jobs.max(1));
+    cfg: &StreamConfig,
+) -> Result<StreamSummary, StreamError> {
+    let format = stream.format();
+    let queue = cfg.queue.max(1);
     let stats = LiveStats::new();
+    let (tx, rx) = mpsc::sync_channel::<SourceMsg>(queue);
     thread::scope(|s| {
-        let (src_tx, src_rx) = mpsc::sync_channel::<SourceMsg>(queue);
-        let (win_tx, win_rx) = mpsc::sync_channel::<StageMsg>(queue);
-        let src_stats = Arc::clone(&stats);
-        let tf_stats = Arc::clone(&stats);
-        let shed_rule = params.shed_rule;
-        s.spawn(move || source_loop(stream, src_tx, batch, queue, policy, shed_rule, &src_stats));
-        s.spawn(move || transform_loop(src_rx, win_tx, make_windower, &tf_stats));
-
-        let mut pending: Vec<(WindowPayload, Instant)> = Vec::new();
-        let mut reports: Vec<WindowReport> = Vec::new();
-        let mut outcome: Option<Result<PipelineOutput, (u64, TraceError)>> = None;
-        while let Ok(msg) = win_rx.recv() {
-            match msg {
-                StageMsg::Window(p, emitted_at) => {
-                    stats.depth_score.add(-1);
-                    pending.push((*p, emitted_at));
-                    if pending.len() >= SCORE_CHUNK {
-                        score_chunk(&pool, params.reference, &mut pending, &mut reports, &stats);
-                    }
+        let stats = &stats;
+        let (batch, policy, rule) = (
+            cfg.batch.max(1),
+            cfg.backpressure,
+            cfg.adaptive_shed.as_deref(),
+        );
+        let source = s.spawn(move || source_loop(stream, tx, batch, queue, policy, rule, stats));
+        let _span = obskit::span_labeled("stream_stage", &[("stage", "transform")]);
+        let mut windower: Option<Windower> = None;
+        let mut windows: Vec<WindowReport> = Vec::new();
+        // Shed count and RSS are per-run/process facts, not per-window
+        // ones. RSS costs a procfs read on the windowing thread (read
+        // per window, ~3% of stream throughput on a 2-vCPU VM), so it
+        // is refreshed at most once per telemetry interval.
+        let rss_max_age = Duration::from_millis(obskit::telemetry::default_interval_ms());
+        let mut rss: Option<(Instant, u64)> = None;
+        let mut score_all = |payloads: Vec<WindowPayload>| {
+            if payloads.is_empty() {
+                return;
+            }
+            let shed = stats.shed_packets.run();
+            let rss_kb = match rss {
+                Some((at, kb)) if at.elapsed() < rss_max_age => kb,
+                _ => {
+                    let kb = obskit::telemetry::rss_kb().unwrap_or(0);
+                    rss = Some((Instant::now(), kb));
+                    kb
                 }
-                StageMsg::Done {
-                    packets,
-                    selected,
-                    dropped_batches,
-                    dropped_packets,
-                } => {
-                    outcome = Some(Ok(PipelineOutput {
+            };
+            let reference = cfg.reference.as_ref();
+            windows.extend(payloads.iter().map(|p| score(p, reference, shed, rss_kb)));
+            stats.windows_scored.add(payloads.len() as u64);
+        };
+        for msg in rx {
+            match msg {
+                SourceMsg::Batch(pkts) => {
+                    stats.depth.add(-1);
+                    let Some(first) = pkts.first() else { continue };
+                    let w = windower.get_or_insert_with(|| windower_at(cfg, first));
+                    score_all(w.offer_slice(&pkts));
+                }
+                SourceMsg::Done => {
+                    let (packets, selected) = match windower.as_mut() {
+                        Some(w) => {
+                            score_all(w.finish());
+                            (w.packets(), w.selected())
+                        }
+                        None => (0, 0),
+                    };
+                    return Ok(StreamSummary {
+                        format,
+                        method: cfg.method.name(),
+                        target: cfg.target,
                         packets,
                         selected,
-                        dropped_batches,
-                        dropped_packets,
-                        windows: Vec::new(),
-                    }));
-                    break;
+                        dropped_batches: stats.shed_batches.run(),
+                        dropped_packets: stats.shed_packets.run(),
+                        windows,
+                    });
                 }
-                StageMsg::Fault { offset, error } => {
-                    outcome = Some(Err((offset, error)));
-                    break;
+                SourceMsg::Fault { offset, error } => {
+                    return Err(StreamError::Ingest { offset, error })
                 }
             }
         }
-        score_chunk(&pool, params.reference, &mut pending, &mut reports, &stats);
-        // A missing outcome means a stage panicked; the scope join
-        // below re-raises that panic, so this expect never fires first.
-        let mut outcome = outcome.expect("pipeline ended without a terminal message");
-        if let Ok(out) = outcome.as_mut() {
-            out.windows = reports;
-        }
-        outcome
+        // The source hangs up without a terminal message only by
+        // panicking; re-raise its panic here.
+        std::panic::resume_unwind(
+            source
+                .join()
+                .expect_err("the source always ends with Done or Fault"),
+        )
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nettrace::Micros;
     use std::sync::mpsc::sync_channel;
 
     fn batch_of(n: usize) -> Vec<PacketRecord> {
@@ -553,13 +449,11 @@ mod tests {
     }
 
     /// Drive `source_loop` against a deliberately slow consumer and
-    /// return the `(stalls, shed_packets, adaptive_shed)` deltas this
-    /// run contributed to the global counters.
+    /// return this run's own `(stalls, shed_packets, adaptive_shed)`
+    /// tallies (run-local, so sibling tests on other threads sharing
+    /// the global counters cannot leak into them).
     fn drive_source(policy: Backpressure, shed_rule: Option<&str>) -> (u64, u64, u64) {
         let stats = LiveStats::new();
-        let stalls0 = stats.stalls.get();
-        let shed0 = stats.shed_packets_total.get();
-        let adaptive0 = stats.adaptive_shed.get();
         let bytes = {
             let packets: Vec<PacketRecord> = (0..60u64)
                 .map(|i| PacketRecord::new(Micros(i * 10), 40))
@@ -581,9 +475,9 @@ mod tests {
         source_loop(stream, tx, 1, 2, policy, shed_rule, &stats);
         consumer.join().unwrap();
         (
-            stats.stalls.get() - stalls0,
-            stats.shed_packets_total.get() - shed0,
-            stats.adaptive_shed.get() - adaptive0,
+            stats.stalls.run(),
+            stats.shed_packets.run(),
+            stats.adaptive_shed.run(),
         )
     }
 

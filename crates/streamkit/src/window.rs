@@ -103,8 +103,8 @@ impl std::fmt::Display for WindowSpec {
 }
 
 /// One completed window, ready for scoring: the population and sample
-/// histograms plus bookkeeping. Produced by [`Windower`], consumed by
-/// the scorer stage.
+/// histograms plus bookkeeping. Produced by [`Windower`] and scored
+/// where it closes.
 #[derive(Debug, Clone)]
 pub struct WindowPayload {
     /// Emission sequence number (fully-empty windows are skipped).

@@ -4,8 +4,7 @@
 //! One tumbling window spanning a whole capture must reproduce the
 //! batch [`Experiment`] path **bit-for-bit**: same selections, same
 //! histograms, same φ down to the last f64 bit, for every packet-driven
-//! method in the paper's set — serially and at `--jobs 4`. The
-//! reservoir sampler has no batch twin (that is its point: no `N` up
+//! method in the paper's set. The reservoir sampler has no batch twin (that is its point: no `N` up
 //! front), so it is held to a *distributional* bar against the paper's
 //! simple random method instead.
 
@@ -51,7 +50,6 @@ fn stream_phi_bits(
     method: MethodSpec,
     target: Target,
     seed: u64,
-    jobs: usize,
     population: usize,
 ) -> Option<u64> {
     let mut cfg = StreamConfig::new(
@@ -60,7 +58,6 @@ fn stream_phi_bits(
         WindowSpec::Count(population as u64),
     );
     cfg.seed = seed;
-    cfg.jobs = jobs;
     cfg.population_hint = Some(population);
     let summary = run_stream(bytes, &cfg).unwrap();
     assert_eq!(summary.packets as usize, population);
@@ -85,13 +82,11 @@ fn paper_five_methods_match_batch_phi_bit_for_bit() {
     ] {
         for method in MethodSpec::paper_five(50, mean_pps) {
             let batch = batch_phi_bits(&bytes, method, target, seed, 1);
-            for jobs in [1, 4] {
-                let stream = stream_phi_bits(&bytes, method, target, seed, jobs, population);
-                assert_eq!(
-                    stream, batch,
-                    "{method} on {target} (jobs={jobs}): stream φ must be bit-identical"
-                );
-            }
+            let stream = stream_phi_bits(&bytes, method, target, seed, population);
+            assert_eq!(
+                stream, batch,
+                "{method} on {target}: stream φ must be bit-identical"
+            );
             assert!(
                 batch.is_some(),
                 "{method} on {target}: batch produced a score"
@@ -191,12 +186,11 @@ fn hundred_thousand_packets_stream_in_bounded_windows() {
     let trace = netsynth::canonical::randomly_ordered(100_000, 3);
     let mut bytes = Vec::new();
     write_pcap(&mut bytes, &trace).unwrap();
-    let mut cfg = StreamConfig::new(
+    let cfg = StreamConfig::new(
         StreamMethod::Spec(MethodSpec::Systematic { interval: 50 }),
         Target::PacketSize,
         WindowSpec::Count(1_000),
     );
-    cfg.jobs = 2;
     let summary = run_stream(bytes.as_slice(), &cfg).unwrap();
     assert_eq!(summary.packets, 100_000);
     assert_eq!(summary.windows.len(), 100);
