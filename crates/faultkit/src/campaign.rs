@@ -3,26 +3,31 @@
 //! Every case builds a corrupted image from a valid corpus, then holds
 //! the readers to their contract:
 //!
-//! * the strict reader ([`nettrace::read_capture`]) returns a typed
-//!   [`TraceError`] or a valid [`Trace`](nettrace::Trace) — never a
-//!   panic;
+//! * the strict reader ([`nettrace::read_capture`]) and the streaming
+//!   decoder it drains ([`nettrace::CaptureStream`]) return a typed
+//!   [`TraceError`] or valid packets — never a panic;
 //! * the lossy reader ([`nettrace::lossy::salvage`]) never fails at
 //!   all: it reports a consistent salvage (`bytes_consumed ≤ total`,
 //!   `packets_salvaged = trace.len()`, fault offset within the image);
-//! * the two agree: a clean lossy parse and a strict accept imply each
-//!   other, with identical packet counts;
-//! * the chunked streaming reader ([`nettrace::CaptureStream`]) agrees
-//!   with the batch reader on every image: same accept/reject verdict,
-//!   same error class on reject, same packets on accept.
+//! * salvage is the oracle. It parses the framing independently from a
+//!   slice, and both `Read`-based paths must agree with it on every
+//!   image: a clean salvage exactly when the reader accepts; on accept
+//!   the same packets (the stream yields file order, so it is compared
+//!   through `Trace::from_unordered`); on reject, salvage's first fault
+//!   carries the reader's error, variant and payload, and — for the
+//!   stream — sits at its [`fault_offset`](nettrace::CaptureStream::fault_offset)
+//!   (offset 0 for an error from [`nettrace::CaptureStream::new`]).
 //!
 //! The campaign is a pure function of the seed; its [`Digest`] folds
 //! every case's classification so cross-run identity is one comparison.
+//! The oracle checks only add findings; they do not feed the digest.
 
 use crate::corpus::{pcap_corpus, pcapng_corpus, Corpus};
 use crate::mutate::Mutation;
 use crate::{Digest, Finding};
 use nettrace::error::TraceError;
 use nettrace::trace::Trace;
+use nettrace::PacketRecord;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
@@ -83,6 +88,26 @@ fn classify_error(error: &TraceError) -> &'static str {
     }
 }
 
+/// Two errors are the same variant with the same payload.
+fn same_error(a: &TraceError, b: &TraceError) -> bool {
+    format!("{a:?}") == format!("{b:?}")
+}
+
+/// Drain a [`nettrace::CaptureStream`] over `image`: every packet in
+/// file order, or the error with the offset the stream reports for it
+/// (0 for an error in the header stage).
+fn drain_stream(image: &[u8]) -> Result<Vec<PacketRecord>, (TraceError, Option<u64>)> {
+    let mut stream = nettrace::CaptureStream::new(image).map_err(|e| (e, Some(0)))?;
+    let mut packets = Vec::new();
+    loop {
+        match stream.next_packet() {
+            Ok(Some(p)) => packets.push(p),
+            Ok(None) => return Ok(packets),
+            Err(e) => return Err((e, stream.fault_offset())),
+        }
+    }
+}
+
 struct Campaign {
     outcomes: BTreeMap<String, u64>,
     findings: Vec<Finding>,
@@ -95,18 +120,13 @@ impl Campaign {
         let case_id = self.cases;
         self.cases += 1;
 
+        let mut violations = Vec::new();
         let strict = catch_unwind(AssertUnwindSafe(|| nettrace::read_capture(image)));
         let class = match &strict {
             Ok(result) => classify(result),
             Err(panic) => {
-                self.findings.push(Finding {
-                    case_id,
-                    source: source.to_string(),
-                    detail: format!(
-                        "strict reader panicked on {what}: {}",
-                        crate::panic_message(&**panic)
-                    ),
-                });
+                let msg = crate::panic_message(&**panic);
+                violations.push(format!("strict reader panicked: {msg} ({what})"));
                 "panic"
             }
         };
@@ -118,25 +138,13 @@ impl Campaign {
         self.digest.update(class.as_bytes());
 
         let lossy = catch_unwind(AssertUnwindSafe(|| nettrace::lossy::salvage(image)));
-        match lossy {
-            Err(panic) => {
-                self.findings.push(Finding {
-                    case_id,
-                    source: source.to_string(),
-                    detail: format!(
-                        "lossy reader panicked on {what}: {}",
-                        crate::panic_message(&*panic)
-                    ),
-                });
-            }
+        let mut violate = |detail: String| violations.push(format!("{detail} ({what})"));
+        match &lossy {
+            Err(panic) => violate(format!(
+                "lossy reader panicked: {}",
+                crate::panic_message(&**panic)
+            )),
             Ok(report) => {
-                let mut violate = |detail: String| {
-                    self.findings.push(Finding {
-                        case_id,
-                        source: source.to_string(),
-                        detail: format!("{detail} ({what})"),
-                    });
-                };
                 if report.bytes_consumed > report.bytes_total {
                     violate(format!(
                         "lossy consumed {} of {} bytes",
@@ -166,20 +174,28 @@ impl Campaign {
                         ));
                     }
                 }
-                match (&strict, report.is_clean()) {
-                    (Ok(Ok(trace)), false) => violate(format!(
-                        "strict accepted {} packets but lossy reported a fault",
-                        trace.len()
-                    )),
-                    (Ok(Ok(trace)), true) if trace.len() != report.packets_salvaged => {
+                // Salvage as the strict reader's oracle.
+                match (&strict, report.first_fault()) {
+                    (Ok(Ok(trace)), None) if trace.packets() != report.trace.packets() => {
                         violate(format!(
-                            "strict read {} packets, lossy salvaged {}",
+                            "strict read {} packets that differ from salvage's {}",
                             trace.len(),
                             report.packets_salvaged
                         ));
                     }
-                    (Ok(Err(_)), true) => {
-                        violate("strict rejected a stream lossy called clean".to_string());
+                    (Ok(Ok(trace)), Some(fault)) => violate(format!(
+                        "strict accepted {} packets but lossy faulted: {}",
+                        trace.len(),
+                        fault.error
+                    )),
+                    (Ok(Err(e)), None) => {
+                        violate(format!("strict rejected ({e}) a stream lossy called clean"));
+                    }
+                    (Ok(Err(e)), Some(fault)) if !same_error(e, &fault.error) => {
+                        violate(format!(
+                            "strict failed with {e:?} but salvage's first fault is {:?}",
+                            fault.error
+                        ));
                     }
                     _ => {}
                 }
@@ -189,70 +205,59 @@ impl Campaign {
             }
         }
 
-        // The chunked streaming reader must agree with the batch reader
-        // case by case: same accept/reject verdict, and on accept the
-        // same packets (the stream yields file order; the batch reader
-        // sorts, so compare through `Trace::from_unordered`).
-        let streamed = catch_unwind(AssertUnwindSafe(|| {
-            let mut stream = nettrace::CaptureStream::new(image)?;
-            let mut packets = Vec::new();
-            while let Some(packet) = stream.next_packet()? {
-                packets.push(packet);
-            }
-            Ok::<_, TraceError>(packets)
-        }));
-        match streamed {
-            Err(panic) => {
-                self.findings.push(Finding {
-                    case_id,
-                    source: source.to_string(),
-                    detail: format!(
-                        "streaming reader panicked on {what}: {}",
-                        crate::panic_message(&*panic)
-                    ),
-                });
-            }
+        let streamed = catch_unwind(AssertUnwindSafe(|| drain_stream(image)));
+        match &streamed {
+            Err(panic) => violate(format!(
+                "streaming reader panicked: {}",
+                crate::panic_message(&**panic)
+            )),
             Ok(streamed) => {
-                let mut violate = |detail: String| {
-                    self.findings.push(Finding {
-                        case_id,
-                        source: source.to_string(),
-                        detail: format!("{detail} ({what})"),
-                    });
-                };
-                match (&strict, &streamed) {
-                    (Ok(Ok(trace)), Ok(packets)) => {
-                        if Trace::from_unordered(packets.clone()).packets() != trace.packets() {
+                // Salvage as the stream's oracle: verdict, packets, and
+                // the first fault's offset and error.
+                match (streamed, lossy.as_ref().map(|r| (r, r.first_fault()))) {
+                    (Ok(packets), Ok((report, None))) => {
+                        if Trace::from_unordered(packets.clone()).packets()
+                            != report.trace.packets()
+                        {
                             violate(format!(
-                                "stream read {} packets that differ from strict's {}",
+                                "stream read {} packets that differ from salvage's {}",
                                 packets.len(),
-                                trace.len()
+                                report.packets_salvaged
                             ));
                         }
                     }
-                    (Ok(Ok(trace)), Err(stream_err)) => violate(format!(
-                        "strict accepted {} packets but stream failed: {stream_err}",
-                        trace.len()
+                    (Ok(packets), Ok((_, Some(fault)))) => violate(format!(
+                        "stream read {} packets but lossy faulted at {}: {}",
+                        packets.len(),
+                        fault.offset,
+                        fault.error
                     )),
-                    (Ok(Err(strict_err)), Ok(packets)) => violate(format!(
-                        "strict rejected ({strict_err}) a stream that streamed {} packets",
-                        packets.len()
-                    )),
-                    (Ok(Err(strict_err)), Err(stream_err)) => {
-                        let stream_class = classify_error(stream_err);
-                        let strict_class = classify_error(strict_err);
-                        if stream_class != strict_class {
+                    (Err((e, _)), Ok((_, None))) => {
+                        violate(format!(
+                            "stream failed ({e}) on a stream lossy called clean"
+                        ));
+                    }
+                    (Err((e, at)), Ok((_, Some(fault)))) => {
+                        if *at != Some(fault.offset) || !same_error(e, &fault.error) {
                             violate(format!(
-                                "strict failed as {strict_class} but stream as {stream_class}"
+                                "stream failed with {e:?} at {at:?} but salvage's first fault \
+                                 is {:?} at {}",
+                                fault.error, fault.offset
                             ));
                         }
                     }
-                    (Err(_), _) => {} // strict panic already recorded
+                    (_, Err(_)) => {} // lossy panic already recorded
                 }
                 self.digest
                     .update_u64(streamed.as_ref().map_or(u64::MAX, |p| p.len() as u64));
             }
         }
+        self.findings
+            .extend(violations.into_iter().map(|detail| Finding {
+                case_id,
+                source: source.to_string(),
+                detail,
+            }));
     }
 }
 

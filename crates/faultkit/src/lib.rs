@@ -9,11 +9,17 @@
 //! * **Mutation campaigns** ([`campaign`]): byte-level corruption of
 //!   *valid* pcap/pcapng corpora — bit flips, truncation at every block
 //!   boundary, length-field corruption, byte-order swaps — driven
-//!   through the strict reader ([`nettrace::read_capture`]) and the
-//!   lossy salvage path ([`nettrace::lossy::salvage`]). The contract
-//!   under test: every input yields a typed [`nettrace::TraceError`] or
-//!   a valid trace, never a panic, and a corrupted length field never
-//!   drives an allocation past the bytes actually present.
+//!   through the strict reader ([`nettrace::read_capture`]), the
+//!   streaming decoder it drains ([`nettrace::CaptureStream`]) and the
+//!   lossy salvage path ([`nettrace::lossy::salvage`]), which serves as
+//!   the oracle for the other two. The contract under test: every input
+//!   yields a typed [`nettrace::TraceError`] or a valid trace, never a
+//!   panic, and a corrupted length field never drives an allocation
+//!   past one record's sanity cap. The `Read` decoder must allocate a
+//!   record's buffer before its bytes arrive, so its bound is the cap
+//!   itself: 256 KiB (`MAX_CAPLEN`) per pcap record, 16 MiB
+//!   (`MAX_BLOCK`) per pcapng block. Only salvage, which parses a
+//!   slice, bounds every allocation by the bytes actually present.
 //! * **State-machine fuzzing** ([`statefuzz`]): `offer` sequences with
 //!   adversarial timestamps (zero, equal runs, `u64::MAX`,
 //!   non-monotone) through the seven batch samplers and the streaming

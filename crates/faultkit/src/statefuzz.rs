@@ -24,9 +24,9 @@
 //! (empty, zeros, overflowing sizes, `k == 0`) that must come back as
 //! typed [`statkit::InversionError`]s — never a panic. Finally, the
 //! columnar batch path is held to the per-packet path: walking a
-//! [`nettrace::PacketBatch`]'s timestamp column through `offer_ts_batch`
-//! in random-sized chunks must select bit-identical indices to the
-//! per-packet `offer` loop, even on hostile timestamps. The sharded
+//! timestamp column through `offer_ts_batch` in random-sized chunks
+//! must select bit-identical indices to the per-packet `offer` loop,
+//! even on hostile timestamps. The sharded
 //! collector gets hostile fleets and knobs — tenant ids carrying the
 //! forbidden `"{}\,` label bytes, non-ASCII and oversized ids, zero
 //! interfaces, zero shards, degenerate window/queue/budget values, and
@@ -38,7 +38,7 @@ use collectd::{route, CollectError, Collector, CollectorConfig, LaneSource, Rout
 use netstat_sim::Fleet;
 use netsynth::FlowSizeDist;
 use nettrace::time::Micros;
-use nettrace::{BinSpec, FlowTable, Histogram, PacketBatch, PacketRecord};
+use nettrace::{BinSpec, FlowTable, Histogram, PacketRecord};
 use parkit::Pool;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -720,7 +720,7 @@ impl Fuzzer {
     }
 
     /// Drive one sampler through the columnar batch path: the chunked
-    /// `offer_ts_batch` walk over a [`PacketBatch`] must select exactly
+    /// `offer_ts_batch` walk over the timestamp column must select exactly
     /// the per-packet `offer` indices, at any chunk seam, even on
     /// hostile timestamps. This is the determinism contract the
     /// vectorized experiment hot path rests on.
@@ -774,10 +774,10 @@ impl Fuzzer {
         let outcome = catch_unwind(AssertUnwindSafe(move || {
             let per_packet = select_indices(&mut *sampler, &packets);
             sampler.reset();
-            let batch = PacketBatch::from_records(&packets);
+            let column: Vec<u64> = packets.iter().map(|p| p.timestamp.as_u64()).collect();
             let mut batched = Vec::new();
             let mut base = 0usize;
-            for ts in batch.ts.chunks(chunk) {
+            for ts in column.chunks(chunk) {
                 sampler.offer_ts_batch(base, ts, &mut batched);
                 base += ts.len();
             }

@@ -32,6 +32,12 @@ pub enum TraceError {
         /// Declared capture length in bytes.
         caplen: u32,
     },
+    /// A packet's timestamp does not fit the classic pcap record's
+    /// 32-bit seconds field, so it cannot be written without loss.
+    TimestampOverflow {
+        /// The unrepresentable timestamp (µs).
+        micros: u64,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -55,6 +61,12 @@ impl fmt::Display for TraceError {
                 write!(
                     f,
                     "pcap record declares caplen {caplen} > 256 KiB; refusing"
+                )
+            }
+            TraceError::TimestampOverflow { micros } => {
+                write!(
+                    f,
+                    "timestamp {micros}us exceeds the pcap 32-bit seconds field"
                 )
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! This crate provides the data model that every other crate in the
 //! workspace builds on: packet records, traces with nondecreasing
-//! timestamps, capture-clock models, libpcap file I/O, per-second
+//! timestamps, capture-clock models, pcap/pcapng file I/O, per-second
 //! time series, and integer-domain histograms.
 //!
 //! The design follows the conventions of the SIGCOMM 1993 study this
@@ -23,7 +23,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod error;
 pub mod flowtable;
 pub mod histogram;
@@ -37,35 +36,13 @@ pub mod stream;
 pub mod time;
 pub mod trace;
 
-pub use batch::PacketBatch;
 pub use error::TraceError;
 pub use flowtable::{FlowKey, FlowRecord, FlowTable};
 pub use histogram::{BinSpec, Histogram};
 pub use lossy::{read_capture_lossy, IngestFault, IngestReport};
 pub use merge::{merge, rebase, shift};
 pub use packet::{PacketRecord, Protocol};
-pub use pcapng::read_capture;
 pub use series::{PerSecondSeries, SecondStats};
-pub use stream::CaptureStream;
+pub use stream::{read_capture, CaptureStream};
 pub use time::{ClockModel, Micros};
 pub use trace::{Trace, TraceStats};
-
-/// Record read-path metrics shared by the pcap and pcapng readers:
-/// packets and traffic bytes on success, the malformed-record counter on
-/// failure (plus however many packets parsed before a truncation).
-pub(crate) fn observe_read(format: &str, result: &Result<Trace, TraceError>) {
-    let labels = [("format", format)];
-    match result {
-        Ok(trace) => {
-            obskit::counter_labeled("nettrace_packets_read_total", &labels).add(trace.len() as u64);
-            obskit::counter_labeled("nettrace_bytes_read_total", &labels).add(trace.total_bytes());
-        }
-        Err(e) => {
-            obskit::counter_labeled("nettrace_malformed_records_total", &labels).inc();
-            if let TraceError::TruncatedRecord { packets_read } = e {
-                obskit::counter_labeled("nettrace_packets_read_total", &labels)
-                    .add(*packets_read as u64);
-            }
-        }
-    }
-}

@@ -1,7 +1,7 @@
 //! Lossy capture ingestion: salvage the longest valid prefix.
 //!
-//! The strict readers ([`crate::pcap::read_pcap`],
-//! [`crate::pcapng::read_pcapng`]) reject a capture at the first
+//! The strict reader ([`crate::read_capture`], which drains a
+//! [`crate::CaptureStream`]) rejects a capture at the first
 //! malformed byte — the right default for experiments, where a silent
 //! partial read would bias every downstream statistic. But real capture
 //! files are routinely truncated (full disk, killed tcpdump) and a
@@ -24,9 +24,15 @@
 //! The lossy path parses from an in-memory slice (offsets are exact and
 //! a corrupt length field can never drive an unbounded allocation — the
 //! declared length is bounds-checked against the bytes actually
-//! present), and reuses the strict readers' record/block decoders so
-//! the two paths cannot drift: on a fully valid stream the salvaged
-//! trace is identical to the strict read.
+//! present). It shares only the record and block *body* decoders with
+//! [`crate::CaptureStream`]; the framing — sniffing, length checks,
+//! truncation — is parsed here independently, which makes [`salvage`]
+//! the reference the stream is checked against. On any image, salvage
+//! is clean exactly when the stream reads it without error, and then
+//! holds the same packets as the strict read; otherwise its first fault
+//! carries the stream's error at the stream's
+//! [`fault_offset`](crate::CaptureStream::fault_offset) (offset 0 for a
+//! header-stage error).
 
 use crate::error::TraceError;
 use crate::packet::PacketRecord;
@@ -61,7 +67,7 @@ pub struct IngestReport {
 }
 
 impl IngestReport {
-    /// Whether the whole stream parsed cleanly (the strict readers
+    /// Whether the whole stream parsed cleanly (the strict reader
     /// would have accepted it).
     #[must_use]
     pub fn is_clean(&self) -> bool {
@@ -191,9 +197,7 @@ fn salvage_pcap(bytes: &[u8]) -> IngestReport {
                 },
             });
         }
-        let f =
-            |a: usize| pcap::u32_from(endian, [bytes[a], bytes[a + 1], bytes[a + 2], bytes[a + 3]]);
-        let (sec, frac, caplen, orig_len) = (f(o), f(o + 4), f(o + 8), f(o + 12));
+        let (ts, caplen, orig_len) = pcap::parse_record_header(endian, nanos, &bytes[o..]);
         if caplen > pcap::MAX_CAPLEN {
             break Some(IngestFault {
                 offset: o as u64,
@@ -209,12 +213,6 @@ fn salvage_pcap(bytes: &[u8]) -> IngestReport {
                 },
             });
         }
-        let usec = if nanos {
-            u64::from(frac) / 1000
-        } else {
-            u64::from(frac)
-        };
-        let ts = Micros(u64::from(sec) * 1_000_000 + usec);
         packets.push(pcap::parse_ipv4(&bytes[o + 16..end], orig_len, ts));
         o = end;
     };
@@ -239,15 +237,8 @@ fn find_next_shb(bytes: &[u8], from: usize) -> Option<usize> {
     while at + 28 <= bytes.len() {
         if bytes[at..at + 4] == magic {
             let bom = [bytes[at + 8], bytes[at + 9], bytes[at + 10], bytes[at + 11]];
-            let endian = if u32::from_le_bytes(bom) == pcapng::BOM {
-                Some(pcapng::Endian::Little)
-            } else if u32::from_be_bytes(bom) == pcapng::BOM {
-                Some(pcapng::Endian::Big)
-            } else {
-                None
-            };
-            if let Some(endian) = endian {
-                let total_len = pcapng::u32_at(endian, &bytes[at + 4..at + 8]);
+            if let Some(endian) = pcapng::bom_endian(bom) {
+                let total_len = endian.u32(&bytes[at + 4..at + 8]);
                 if (28..=pcapng::MAX_BLOCK).contains(&total_len)
                     && total_len.is_multiple_of(4)
                     && at + total_len as usize <= bytes.len()
@@ -266,7 +257,7 @@ fn salvage_pcapng(bytes: &[u8]) -> IngestReport {
     let mut packets: Vec<PacketRecord> = Vec::new();
     let mut interfaces: Vec<pcapng::Interface> = Vec::new();
     let mut faults: Vec<IngestFault> = Vec::new();
-    let mut endian = pcapng::Endian::Little;
+    let mut endian = pcap::Endian::Little;
     let mut first = true;
     let mut consumed = 0u64;
     let mut o = 0usize;
@@ -305,17 +296,14 @@ fn salvage_pcapng(bytes: &[u8]) -> IngestReport {
                     break 'block Some(truncated(o, packets.len()));
                 }
                 let bom = [bytes[o + 8], bytes[o + 9], bytes[o + 10], bytes[o + 11]];
-                endian = if u32::from_le_bytes(bom) == pcapng::BOM {
-                    pcapng::Endian::Little
-                } else if u32::from_be_bytes(bom) == pcapng::BOM {
-                    pcapng::Endian::Big
-                } else {
+                let Some(section_endian) = pcapng::bom_endian(bom) else {
                     break 'block Some(IngestFault {
                         offset: o as u64,
                         error: TraceError::BadMagic(u32::from_le_bytes(bom)),
                     });
                 };
-                let total_len = pcapng::u32_at(endian, &bytes[o + 4..o + 8]);
+                endian = section_endian;
+                let total_len = endian.u32(&bytes[o + 4..o + 8]);
                 if !(28..=pcapng::MAX_BLOCK).contains(&total_len) || !total_len.is_multiple_of(4) {
                     break 'block Some(IngestFault {
                         offset: o as u64,
@@ -331,8 +319,8 @@ fn salvage_pcapng(bytes: &[u8]) -> IngestReport {
                 o += total_len as usize;
                 break 'block None;
             }
-            let block_type = pcapng::u32_at(endian, &bytes[o..o + 4]);
-            let total_len = pcapng::u32_at(endian, &bytes[o + 4..o + 8]);
+            let block_type = endian.u32(&bytes[o..o + 4]);
+            let total_len = endian.u32(&bytes[o + 4..o + 8]);
             if !(12..=pcapng::MAX_BLOCK).contains(&total_len) || !total_len.is_multiple_of(4) {
                 break 'block Some(IngestFault {
                     offset: o as u64,

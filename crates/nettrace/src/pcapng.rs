@@ -1,20 +1,20 @@
-//! pcapng (pcap-next-generation) reader.
+//! pcapng (pcap-next-generation) block decoding.
 //!
 //! Modern capture tools default to pcapng; a workspace claiming "run the
-//! paper's analysis on your own captures" has to read it. This is a
-//! focused reader: Section Header Blocks (both byte orders), Interface
-//! Description Blocks (per-interface timestamp resolution via
+//! paper's analysis on your own captures" has to read it. The format
+//! support is focused: Section Header Blocks (both byte orders),
+//! Interface Description Blocks (per-interface timestamp resolution via
 //! `if_tsresol`), Enhanced Packet Blocks, and Simple Packet Blocks;
-//! every other block type is skipped by length. Writing stays classic
-//! pcap ([`crate::pcap::write_pcap`]) — universally readable.
+//! every other block type is skipped by length. This module decodes
+//! block *bodies*; block framing is parsed by
+//! [`CaptureStream`](crate::CaptureStream) (and, from a slice, by
+//! [`crate::lossy::salvage`]), and [`read_capture`](crate::read_capture)
+//! sniffs pcapng by its first block. Writing stays classic pcap
+//! ([`crate::pcap::write_pcap`]) — universally readable.
 
-use crate::error::TraceError;
 use crate::packet::PacketRecord;
-#[cfg(test)]
-use crate::packet::Protocol;
+use crate::pcap::{parse_ipv4, Endian};
 use crate::time::Micros;
-use crate::trace::Trace;
-use std::io::Read;
 
 /// Section Header Block type.
 pub(crate) const SHB_TYPE: u32 = 0x0A0D_0D0A;
@@ -29,25 +29,15 @@ pub(crate) const SPB_TYPE: u32 = 0x0000_0003;
 /// Sanity cap on a single block's length.
 pub(crate) const MAX_BLOCK: u32 = 16 * 1024 * 1024;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Endian {
-    Little,
-    Big,
-}
-
-fn u16_at(e: Endian, b: &[u8]) -> u16 {
-    let arr = [b[0], b[1]];
-    match e {
-        Endian::Little => u16::from_le_bytes(arr),
-        Endian::Big => u16::from_be_bytes(arr),
-    }
-}
-
-pub(crate) fn u32_at(e: Endian, b: &[u8]) -> u32 {
-    let arr = [b[0], b[1], b[2], b[3]];
-    match e {
-        Endian::Little => u32::from_le_bytes(arr),
-        Endian::Big => u32::from_be_bytes(arr),
+/// The byte order an SHB's byte-order mark declares (`None` if the
+/// bytes are not a byte-order mark at all).
+pub(crate) fn bom_endian(bom: [u8; 4]) -> Option<Endian> {
+    if u32::from_le_bytes(bom) == BOM {
+        Some(Endian::Little)
+    } else if u32::from_be_bytes(bom) == BOM {
+        Some(Endian::Big)
+    } else {
+        None
     }
 }
 
@@ -77,131 +67,6 @@ pub(crate) fn ticks_per_sec_from_tsresol(v: u8) -> u64 {
     }
 }
 
-/// Read a pcapng stream into a [`Trace`].
-///
-/// Timestamps are converted to absolute microseconds; packets are
-/// defensively sorted (multi-interface captures interleave). The same
-/// synthetic-IPv4 recovery as the classic reader applies
-/// ([`crate::pcap`]): protocol, ports, and network numbers are parsed
-/// from the packet bytes when they look like IPv4.
-///
-/// # Errors
-/// * [`TraceError::BadMagic`] if the stream does not start with an SHB;
-/// * [`TraceError::TruncatedRecord`] if it ends inside a block;
-/// * [`TraceError::OversizedRecord`] on an implausible block length.
-pub fn read_pcapng<R: Read>(r: R) -> Result<Trace, TraceError> {
-    let _span = obskit::span("nettrace_pcapng_read");
-    let result = read_pcapng_blocks(r);
-    crate::observe_read("pcapng", &result);
-    result
-}
-
-fn read_pcapng_blocks<R: Read>(mut r: R) -> Result<Trace, TraceError> {
-    let mut packets: Vec<PacketRecord> = Vec::new();
-    let mut endian = Endian::Little;
-    let mut interfaces: Vec<Interface> = Vec::new();
-    let mut first = true;
-
-    loop {
-        // Block header: type + total length (endianness of the current
-        // section; the SHB is self-describing via its BOM).
-        let mut hdr = [0u8; 8];
-        match read_exact_or_eof(&mut r, &mut hdr) {
-            ReadOutcome::Eof => {
-                if first {
-                    // A pcapng stream must open with an SHB; an empty
-                    // stream is a truncated capture, not an empty trace.
-                    return Err(TraceError::TruncatedRecord { packets_read: 0 });
-                }
-                break;
-            }
-            ReadOutcome::Partial => {
-                return Err(TraceError::TruncatedRecord {
-                    packets_read: packets.len(),
-                })
-            }
-            ReadOutcome::Full => {}
-        }
-        let raw_type_le = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
-
-        if first && raw_type_le != SHB_TYPE {
-            // SHB_TYPE is a palindrome, so this check is endian-neutral.
-            return Err(TraceError::BadMagic(raw_type_le));
-        }
-
-        if raw_type_le == SHB_TYPE {
-            // Need the BOM (first 4 body bytes) to fix endianness.
-            let mut bom = [0u8; 4];
-            if !matches!(read_exact_or_eof(&mut r, &mut bom), ReadOutcome::Full) {
-                return Err(TraceError::TruncatedRecord {
-                    packets_read: packets.len(),
-                });
-            }
-            endian = if u32::from_le_bytes(bom) == BOM {
-                Endian::Little
-            } else if u32::from_be_bytes(bom) == BOM {
-                Endian::Big
-            } else {
-                return Err(TraceError::BadMagic(u32::from_le_bytes(bom)));
-            };
-            let total_len = u32_at(endian, &hdr[4..8]);
-            if !(28..=MAX_BLOCK).contains(&total_len) || !total_len.is_multiple_of(4) {
-                return Err(TraceError::OversizedRecord { caplen: total_len });
-            }
-            // Consume the rest of the SHB (version, section length,
-            // options, trailing length): total - 8 (header) - 4 (BOM).
-            skip(&mut r, total_len as usize - 12, packets.len())?;
-            // A new section resets the interface list.
-            interfaces.clear();
-            first = false;
-            continue;
-        }
-
-        let block_type = u32_at(endian, &hdr[0..4]);
-        let total_len = u32_at(endian, &hdr[4..8]);
-        if !(12..=MAX_BLOCK).contains(&total_len) || !total_len.is_multiple_of(4) {
-            return Err(TraceError::OversizedRecord { caplen: total_len });
-        }
-        let body_len = total_len as usize - 12; // minus header and trailer
-        let mut body = vec![0u8; body_len];
-        if !matches!(read_exact_or_eof(&mut r, &mut body), ReadOutcome::Full) {
-            return Err(TraceError::TruncatedRecord {
-                packets_read: packets.len(),
-            });
-        }
-        // Trailing total-length copy.
-        let mut trailer = [0u8; 4];
-        if !matches!(read_exact_or_eof(&mut r, &mut trailer), ReadOutcome::Full) {
-            return Err(TraceError::TruncatedRecord {
-                packets_read: packets.len(),
-            });
-        }
-
-        match block_type {
-            IDB_TYPE => {
-                if let Some(iface) = parse_idb(endian, &body) {
-                    interfaces.push(iface);
-                }
-            }
-            EPB_TYPE => {
-                if let Some(p) = parse_epb(endian, &body, &interfaces) {
-                    packets.push(p);
-                }
-            }
-            SPB_TYPE => {
-                // SPB has no timestamp: record at the previous packet's
-                // time (or zero) to keep ordering sane.
-                let ts = packets.last().map_or(Micros::ZERO, |p| p.timestamp);
-                if let Some(p) = parse_spb(endian, &body, ts) {
-                    packets.push(p);
-                }
-            }
-            _ => { /* unknown block: already skipped via body read */ }
-        }
-    }
-    Ok(Trace::from_unordered(packets))
-}
-
 /// Decode an Interface Description Block body (`None` if too short to
 /// carry the fixed linktype/snaplen prefix).
 pub(crate) fn parse_idb(endian: Endian, body: &[u8]) -> Option<Interface> {
@@ -212,8 +77,8 @@ pub(crate) fn parse_idb(endian: Endian, body: &[u8]) -> Option<Interface> {
     // Options start at offset 8 (linktype u16, reserved u16, snaplen u32).
     let mut o = 8usize;
     while o + 4 <= body.len() {
-        let code = u16_at(endian, &body[o..]);
-        let len = u16_at(endian, &body[o + 2..]) as usize;
+        let code = endian.u16(&body[o..]);
+        let len = endian.u16(&body[o + 2..]) as usize;
         o += 4;
         if code == 0 {
             break; // opt_endofopt
@@ -230,7 +95,8 @@ pub(crate) fn parse_idb(endian: Endian, body: &[u8]) -> Option<Interface> {
 }
 
 /// Decode an Enhanced Packet Block body into a record (`None` if too
-/// short for the fixed header).
+/// short for the fixed header). The same synthetic-IPv4 recovery as the
+/// classic format applies ([`parse_ipv4`]).
 pub(crate) fn parse_epb(
     endian: Endian,
     body: &[u8],
@@ -239,11 +105,11 @@ pub(crate) fn parse_epb(
     if body.len() < 20 {
         return None;
     }
-    let iface_id = u32_at(endian, &body[0..]) as usize;
-    let ts_high = u64::from(u32_at(endian, &body[4..]));
-    let ts_low = u64::from(u32_at(endian, &body[8..]));
-    let caplen = u32_at(endian, &body[12..]) as usize;
-    let orig_len = u32_at(endian, &body[16..]);
+    let iface_id = endian.u32(&body[0..]) as usize;
+    let ts_high = u64::from(endian.u32(&body[4..]));
+    let ts_low = u64::from(endian.u32(&body[8..]));
+    let caplen = endian.u32(&body[12..]) as usize;
+    let orig_len = endian.u32(&body[16..]);
     let ticks = (ts_high << 32) | ts_low;
     let tps = interfaces
         .get(iface_id)
@@ -251,11 +117,13 @@ pub(crate) fn parse_epb(
         .unwrap_or_default()
         .ticks_per_sec;
     // Convert ticks to microseconds exactly (128-bit to avoid both
-    // overflow and the truncation of non-decimal resolutions like 2^-10).
-    let micros = (u128::from(ticks) * 1_000_000 / u128::from(tps.max(1))) as u64;
+    // overflow and the truncation of non-decimal resolutions like 2^-10);
+    // coarse resolutions can exceed u64 µs, which saturates.
+    let micros = u128::from(ticks) * 1_000_000 / u128::from(tps.max(1));
+    let micros = u64::try_from(micros).unwrap_or(u64::MAX);
     let data_end = (20 + caplen).min(body.len());
     let data = &body[20..data_end];
-    Some(parse_payload(data, orig_len, Micros(micros)))
+    Some(parse_ipv4(data, orig_len, Micros(micros)))
 }
 
 /// Decode a Simple Packet Block body into a record at timestamp `ts`
@@ -264,99 +132,17 @@ pub(crate) fn parse_spb(endian: Endian, body: &[u8], ts: Micros) -> Option<Packe
     if body.len() < 4 {
         return None;
     }
-    let orig_len = u32_at(endian, &body[0..]);
-    Some(parse_payload(&body[4..], orig_len, ts))
-}
-
-/// Sniff the first bytes and dispatch to the classic pcap or pcapng
-/// reader. Accepts anything either reader accepts.
-///
-/// # Errors
-/// As the underlying readers; [`TraceError::BadMagic`] if the stream is
-/// neither format.
-pub fn read_capture<R: Read>(mut r: R) -> Result<Trace, TraceError> {
-    let mut magic = [0u8; 4];
-    // Streams shorter than the 4 sniff bytes are truncated captures, not
-    // I/O failures: keep the error typed.
-    if !matches!(read_exact_or_eof(&mut r, &mut magic), ReadOutcome::Full) {
-        return Err(TraceError::TruncatedRecord { packets_read: 0 });
-    }
-    let le = u32::from_le_bytes(magic);
-    if le == SHB_TYPE {
-        return read_pcapng(Chain {
-            head: magic.to_vec(),
-            pos: 0,
-            tail: r,
-        });
-    }
-    crate::pcap::read_pcap_with_magic(magic, r)
-}
-
-/// A tiny prepend-reader so `read_capture` can push the sniffed bytes
-/// back.
-struct Chain<R> {
-    head: Vec<u8>,
-    pos: usize,
-    tail: R,
-}
-
-impl<R: Read> Read for Chain<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos < self.head.len() {
-            let n = (self.head.len() - self.pos).min(buf.len());
-            buf[..n].copy_from_slice(&self.head[self.pos..self.pos + n]);
-            self.pos += n;
-            return Ok(n);
-        }
-        self.tail.read(buf)
-    }
-}
-
-/// Reuse the classic reader's IPv4 recovery (one parser, no drift).
-pub(crate) fn parse_payload(data: &[u8], orig_len: u32, ts: Micros) -> PacketRecord {
-    crate::pcap::parse_ipv4(data, orig_len, ts)
-}
-
-enum ReadOutcome {
-    Full,
-    Partial,
-    Eof,
-}
-
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> ReadOutcome {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Partial
-                }
-            }
-            Ok(n) => filled += n,
-            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return ReadOutcome::Partial,
-        }
-    }
-    ReadOutcome::Full
-}
-
-fn skip<R: Read>(r: &mut R, mut n: usize, packets_read: usize) -> Result<(), TraceError> {
-    let mut buf = [0u8; 4096];
-    while n > 0 {
-        let take = n.min(buf.len());
-        if !matches!(read_exact_or_eof(r, &mut buf[..take]), ReadOutcome::Full) {
-            return Err(TraceError::TruncatedRecord { packets_read });
-        }
-        n -= take;
-    }
-    Ok(())
+    let orig_len = endian.u32(&body[0..]);
+    Some(parse_ipv4(&body[4..], orig_len, ts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::TraceError;
+    use crate::packet::Protocol;
+    use crate::read_capture;
+    use crate::trace::Trace;
 
     /// Build a minimal little-endian pcapng stream.
     struct Builder {
@@ -436,7 +222,7 @@ mod tests {
         b.idb(None);
         b.epb(0, 1_500_000, &ipv4_payload(552, 6, 1024, 20), 552);
         b.epb(0, 2_500_000, &ipv4_payload(40, 17, 53, 53), 40);
-        let t = read_pcapng(b.buf.as_slice()).unwrap();
+        let t = read_capture(b.buf.as_slice()).unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.packets()[0].timestamp, Micros(1_500_000));
         assert_eq!(t.packets()[0].size, 552);
@@ -450,7 +236,7 @@ mod tests {
         let mut b = Builder::new();
         b.idb(Some(9)); // 10^-9: nanoseconds
         b.epb(0, 3_000_000_000, &ipv4_payload(100, 6, 1, 2), 100);
-        let t = read_pcapng(b.buf.as_slice()).unwrap();
+        let t = read_capture(b.buf.as_slice()).unwrap();
         assert_eq!(t.packets()[0].timestamp, Micros(3_000_000));
     }
 
@@ -459,7 +245,7 @@ mod tests {
         let mut b = Builder::new();
         b.idb(Some(0x80 | 10)); // 2^-10 ~ 1024 ticks/sec
         b.epb(0, 2048, &ipv4_payload(100, 6, 1, 2), 100);
-        let t = read_pcapng(b.buf.as_slice()).unwrap();
+        let t = read_capture(b.buf.as_slice()).unwrap();
         // 2048 ticks at 1024/s = 2 s.
         assert_eq!(t.packets()[0].timestamp, Micros(2_000_000));
     }
@@ -471,7 +257,7 @@ mod tests {
         b.idb(Some(3)); // iface 1: ms
         b.epb(0, 5_000_000, &ipv4_payload(40, 6, 1, 2), 40);
         b.epb(1, 2_000, &ipv4_payload(40, 6, 1, 2), 40); // 2000 ms = 2 s
-        let t = read_pcapng(b.buf.as_slice()).unwrap();
+        let t = read_capture(b.buf.as_slice()).unwrap();
         let ts: Vec<u64> = t.iter().map(|p| p.timestamp.as_u64()).collect();
         assert_eq!(ts, vec![2_000_000, 5_000_000]); // sorted
     }
@@ -482,7 +268,7 @@ mod tests {
         b.idb(None);
         b.block(0x0000_0BAD, &[1, 2, 3, 4, 5, 6, 7, 8]);
         b.epb(0, 1, &ipv4_payload(40, 6, 1, 2), 40);
-        let t = read_pcapng(b.buf.as_slice()).unwrap();
+        let t = read_capture(b.buf.as_slice()).unwrap();
         assert_eq!(t.len(), 1);
     }
 
@@ -492,30 +278,25 @@ mod tests {
         // truncated captures, never raw I/O errors — and never an empty
         // trace: a pcapng stream must open with a full SHB.
         let valid = Builder::new().buf;
-        for len in [0usize, 1, 3] {
-            assert!(
-                matches!(
-                    read_pcapng(&valid[..len]),
-                    Err(TraceError::TruncatedRecord { packets_read: 0 })
-                ),
-                "read_pcapng len {len}"
-            );
+        for len in [0usize, 1, 3, 4, 8] {
             assert!(
                 matches!(
                     read_capture(&valid[..len]),
                     Err(TraceError::TruncatedRecord { packets_read: 0 })
                 ),
-                "read_capture len {len}"
+                "len {len}"
             );
         }
     }
 
     #[test]
     fn rejects_non_pcapng() {
-        let garbage = [0xffu8; 64];
+        // An SHB whose byte-order mark is garbage is not pcapng.
+        let mut buf = Builder::new().buf;
+        buf[8..12].copy_from_slice(&[0xff; 4]);
         assert!(matches!(
-            read_pcapng(&garbage[..]),
-            Err(TraceError::BadMagic(_))
+            read_capture(buf.as_slice()),
+            Err(TraceError::BadMagic(0xffff_ffff))
         ));
     }
 
@@ -527,7 +308,7 @@ mod tests {
         let mut buf = b.buf;
         buf.truncate(buf.len() - 3);
         assert!(matches!(
-            read_pcapng(buf.as_slice()),
+            read_capture(buf.as_slice()),
             Err(TraceError::TruncatedRecord { .. })
         ));
     }
@@ -551,5 +332,17 @@ mod tests {
         assert_eq!(t.len(), 1);
         // garbage:
         assert!(read_capture(&[0u8; 32][..]).is_err());
+    }
+
+    #[test]
+    fn coarse_resolution_timestamps_saturate_instead_of_wrapping() {
+        // if_tsresol 0: whole seconds. 2^45 s is 3.5e19 µs, past u64.
+        let mut b = Builder::new();
+        b.idb(Some(0));
+        b.epb(0, 1 << 45, &ipv4_payload(40, 6, 1, 2), 40);
+        b.epb(0, 7, &ipv4_payload(40, 6, 1, 2), 40);
+        let t = read_capture(b.buf.as_slice()).unwrap();
+        let ts: Vec<u64> = t.iter().map(|p| p.timestamp.as_u64()).collect();
+        assert_eq!(ts, vec![7_000_000, u64::MAX]);
     }
 }

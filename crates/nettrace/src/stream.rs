@@ -1,36 +1,122 @@
-//! Incremental, bounded-memory capture reader.
+//! The capture decoder: one parser of pcap and pcapng framing.
 //!
-//! [`read_capture`](crate::read_capture) materializes the whole trace
-//! before returning — fine for offline analysis, wrong for the
-//! operational monitor the paper describes (§2: the NSFNET routers
-//! sample a *stream*, they never hold the day's 650 MB in memory).
 //! [`CaptureStream`] yields packets (or bounded batches) one record at
 //! a time from any [`Read`] source, in **file order**, holding only the
-//! current record plus O(1) decoder state.
+//! current record plus O(1) decoder state — the shape of the
+//! operational monitor the paper describes (§2: the NSFNET routers
+//! sample a *stream*, they never hold the day's 650 MB in memory).
+//! [`read_capture`] is the offline entry point: it drains a stream into
+//! a [`Trace`].
 //!
-//! The decoders are the *same functions* the strict batch readers use
-//! ([`crate::pcap::parse_ipv4`], [`crate::pcapng::parse_epb`], …), and
-//! the error conditions mirror [`crate::pcap::read_pcap`] /
-//! [`crate::pcapng::read_pcapng`] case for case, so the streaming and
-//! batch parses cannot drift: on any input, the stream yields exactly
-//! the packets the batch reader would collect (before its defensive
-//! timestamp sort) and fails with the same [`TraceError`] class.
+//! Record and block bodies are decoded by the shared functions in
+//! [`crate::pcap`] and [`crate::pcapng`]. The independent reference for
+//! the framing is [`crate::lossy::salvage`], which parses the same
+//! formats from an in-memory slice: on any input, salvage is clean
+//! exactly when the stream ends without error, yields the same packets
+//! (after [`Trace::from_unordered`]) when it is, and otherwise reports
+//! as its first fault the stream's error at the stream's
+//! [`fault_offset`](CaptureStream::fault_offset). The faultkit mutation
+//! campaign holds the two to that on every image.
 
 use crate::error::TraceError;
 use crate::packet::PacketRecord;
-use crate::pcap::{self, read_exact_or_eof, ReadOutcome};
+use crate::pcap::{self, Endian};
 use crate::pcapng::{self, parse_epb, parse_idb, parse_spb, Interface};
 use crate::time::Micros;
+use crate::trace::Trace;
 use std::io::Read;
+
+/// Sniff the format and read a whole capture into a [`Trace`].
+///
+/// Timestamps are absolute microseconds from the capture's epoch
+/// values; packets are defensively sorted with
+/// [`Trace::from_unordered`] (multi-interface captures interleave).
+/// Protocol, ports and network numbers are recovered from the packet
+/// bytes when they look like IPv4.
+///
+/// # Errors
+/// The errors of [`CaptureStream::new`] and
+/// [`CaptureStream::next_packet`]: [`TraceError::BadMagic`] if the
+/// stream is neither format, [`TraceError::TruncatedRecord`] if it ends
+/// mid-structure, [`TraceError::OversizedRecord`] on an implausible
+/// length field.
+pub fn read_capture<R: Read>(mut r: R) -> Result<Trace, TraceError> {
+    let mut magic = [0u8; 4];
+    if !matches!(read_exact_or_eof(&mut r, &mut magic), ReadOutcome::Full) {
+        return Err(TraceError::TruncatedRecord { packets_read: 0 });
+    }
+    let (format, span) = if is_pcapng(magic) {
+        ("pcapng", "nettrace_pcapng_read")
+    } else {
+        ("pcap", "nettrace_pcap_read")
+    };
+    let _span = obskit::span(span);
+    let result = CaptureStream::with_magic(magic, r).and_then(|mut stream| {
+        let mut packets = Vec::new();
+        while let Some(p) = stream.next_packet()? {
+            packets.push(p);
+        }
+        Ok(Trace::from_unordered(packets))
+    });
+    let labels = [("format", format)];
+    match &result {
+        Ok(trace) => {
+            obskit::counter_labeled("nettrace_packets_read_total", &labels).add(trace.len() as u64);
+            obskit::counter_labeled("nettrace_bytes_read_total", &labels).add(trace.total_bytes());
+        }
+        Err(e) => {
+            obskit::counter_labeled("nettrace_malformed_records_total", &labels).inc();
+            if let TraceError::TruncatedRecord { packets_read } = e {
+                obskit::counter_labeled("nettrace_packets_read_total", &labels)
+                    .add(*packets_read as u64);
+            }
+        }
+    }
+    result
+}
+
+/// The first four bytes open a pcapng Section Header Block.
+/// (`SHB_TYPE` is a palindrome, so the check is endian-neutral.)
+fn is_pcapng(magic: [u8; 4]) -> bool {
+    u32::from_le_bytes(magic) == pcapng::SHB_TYPE
+}
+
+enum ReadOutcome {
+    Full,
+    Partial,
+    Eof,
+}
+
+/// Read exactly `buf.len()` bytes, distinguishing clean EOF (zero bytes)
+/// from truncation (some bytes then EOF). A failing reader counts as a
+/// truncation: the decoder reports the typed error, not the I/O one.
+fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> ReadOutcome {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => {
+                return if filled == 0 {
+                    ReadOutcome::Eof
+                } else {
+                    ReadOutcome::Partial
+                }
+            }
+            Ok(n) => filled += n,
+            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return ReadOutcome::Partial,
+        }
+    }
+    ReadOutcome::Full
+}
 
 /// Per-format decoder state.
 enum Format {
     Pcap {
-        endian: pcap::Endian,
+        endian: Endian,
         nanos: bool,
     },
     Pcapng {
-        endian: pcapng::Endian,
+        endian: Endian,
         interfaces: Vec<Interface>,
         /// No block parsed yet: EOF here means "not a capture at all".
         first: bool,
@@ -43,14 +129,16 @@ enum Format {
 ///
 /// Construction sniffs the format from the first bytes; each
 /// [`next_packet`](CaptureStream::next_packet) call consumes exactly one
-/// record (skipping non-packet pcapng blocks), so memory is bounded by
-/// the largest single record regardless of capture size.
+/// record (skipping non-packet pcapng blocks). Memory is bounded by the
+/// largest single record regardless of capture size: a classic record's
+/// declared length is checked against `MAX_CAPLEN` (256 KiB), a pcapng
+/// block's against `MAX_BLOCK` (16 MiB), before its buffer is
+/// allocated.
 ///
-/// Unlike the batch readers, packets arrive in **file order** — the
-/// defensive timestamp sort of [`Trace::from_unordered`]
-/// (crate::trace::Trace::from_unordered) is a whole-trace operation a
-/// one-pass reader cannot perform. Callers needing sorted output must
-/// window-and-sort downstream.
+/// Packets arrive in **file order** — the defensive timestamp sort of
+/// [`Trace::from_unordered`] is a whole-trace operation a one-pass
+/// reader cannot perform ([`read_capture`] applies it after draining).
+/// Callers needing sorted output must window-and-sort downstream.
 ///
 /// After the stream ends or fails, further calls return `Ok(None)`
 /// (the reader is fused).
@@ -72,10 +160,10 @@ impl<R: Read> CaptureStream<R> {
     /// Sniff the stream's format and prepare to yield packets.
     ///
     /// # Errors
-    /// Exactly the header-stage errors of the batch readers:
     /// [`TraceError::TruncatedRecord`] (`packets_read: 0`) if the stream
     /// ends inside the magic or the classic 24-byte global header,
-    /// [`TraceError::BadMagic`] if it is neither format.
+    /// [`TraceError::BadMagic`] if it is neither format. Both sit at
+    /// byte offset 0.
     pub fn new(mut reader: R) -> Result<Self, TraceError> {
         let mut magic = [0u8; 4];
         if !matches!(
@@ -84,40 +172,41 @@ impl<R: Read> CaptureStream<R> {
         ) {
             return Err(TraceError::TruncatedRecord { packets_read: 0 });
         }
-        if u32::from_le_bytes(magic) == pcapng::SHB_TYPE {
+        Self::with_magic(magic, reader)
+    }
+
+    /// [`new`](CaptureStream::new) for a stream whose 4 magic bytes were
+    /// already consumed.
+    fn with_magic(magic: [u8; 4], mut reader: R) -> Result<Self, TraceError> {
+        let (head, format, consumed) = if is_pcapng(magic) {
             // The 4 sniffed bytes are the first half of the first block
             // header: push them back for the block loop.
-            return Ok(CaptureStream {
-                reader,
-                head: magic.to_vec(),
-                head_pos: 0,
-                format: Format::Pcapng {
-                    endian: pcapng::Endian::Little,
-                    interfaces: Vec::new(),
-                    first: true,
-                    last_ts: Micros::ZERO,
-                },
-                packets_read: 0,
-                consumed: 0,
-                fault_offset: None,
-                done: false,
-            });
-        }
-        let Some((endian, nanos)) = pcap::sniff_magic(magic) else {
-            return Err(TraceError::BadMagic(u32::from_le_bytes(magic)));
+            let format = Format::Pcapng {
+                endian: Endian::Little,
+                interfaces: Vec::new(),
+                first: true,
+                last_ts: Micros::ZERO,
+            };
+            (magic.to_vec(), format, 0)
+        } else {
+            let Some((endian, nanos)) = pcap::sniff_magic(magic) else {
+                return Err(TraceError::BadMagic(u32::from_le_bytes(magic)));
+            };
+            // Remainder of the classic 24-byte global header; nothing in
+            // it is needed to decode records.
+            let mut rest = [0u8; 20];
+            if !matches!(read_exact_or_eof(&mut reader, &mut rest), ReadOutcome::Full) {
+                return Err(TraceError::TruncatedRecord { packets_read: 0 });
+            }
+            (Vec::new(), Format::Pcap { endian, nanos }, 24)
         };
-        // Remainder of the classic 24-byte global header.
-        let mut rest = [0u8; 20];
-        if !matches!(read_exact_or_eof(&mut reader, &mut rest), ReadOutcome::Full) {
-            return Err(TraceError::TruncatedRecord { packets_read: 0 });
-        }
         Ok(CaptureStream {
             reader,
-            head: Vec::new(),
+            head,
             head_pos: 0,
-            format: Format::Pcap { endian, nanos },
+            format,
             packets_read: 0,
-            consumed: 24,
+            consumed,
             fault_offset: None,
             done: false,
         })
@@ -145,8 +234,9 @@ impl<R: Read> CaptureStream<R> {
     }
 
     /// Byte offset of the structure that failed to decode, if the
-    /// stream has failed — the same offset [`crate::lossy::salvage`]
-    /// would report for its first fault.
+    /// stream has failed in [`next_packet`](CaptureStream::next_packet)
+    /// — the same offset [`crate::lossy::salvage`] reports for its first
+    /// fault.
     #[must_use]
     pub fn fault_offset(&self) -> Option<u64> {
         self.fault_offset
@@ -191,8 +281,7 @@ impl<R: Read> CaptureStream<R> {
     /// Yield the next packet, or `Ok(None)` at clean end of stream.
     ///
     /// # Errors
-    /// The same classes, under the same conditions, as the batch
-    /// readers: [`TraceError::TruncatedRecord`] when the stream ends
+    /// [`TraceError::TruncatedRecord`] when the stream ends
     /// mid-structure, [`TraceError::OversizedRecord`] on an implausible
     /// length field, [`TraceError::BadMagic`] on a corrupt pcapng
     /// section header. [`fault_offset`](CaptureStream::fault_offset)
@@ -209,7 +298,7 @@ impl<R: Read> CaptureStream<R> {
 
     fn next_pcap(
         &mut self,
-        endian: pcap::Endian,
+        endian: Endian,
         nanos: bool,
     ) -> Result<Option<PacketRecord>, TraceError> {
         let start = self.consumed;
@@ -222,10 +311,7 @@ impl<R: Read> CaptureStream<R> {
             ReadOutcome::Partial => return Err(self.truncated(start)),
             ReadOutcome::Full => {}
         }
-        let sec = pcap::u32_from(endian, [rec_hdr[0], rec_hdr[1], rec_hdr[2], rec_hdr[3]]);
-        let frac = pcap::u32_from(endian, [rec_hdr[4], rec_hdr[5], rec_hdr[6], rec_hdr[7]]);
-        let caplen = pcap::u32_from(endian, [rec_hdr[8], rec_hdr[9], rec_hdr[10], rec_hdr[11]]);
-        let orig_len = pcap::u32_from(endian, [rec_hdr[12], rec_hdr[13], rec_hdr[14], rec_hdr[15]]);
+        let (ts, caplen, orig_len) = pcap::parse_record_header(endian, nanos, &rec_hdr);
         if caplen > pcap::MAX_CAPLEN {
             return Err(self.fail(start, TraceError::OversizedRecord { caplen }));
         }
@@ -233,12 +319,6 @@ impl<R: Read> CaptureStream<R> {
         if !matches!(self.fill(&mut data), ReadOutcome::Full) {
             return Err(self.truncated(start));
         }
-        let usec = if nanos {
-            u64::from(frac) / 1000
-        } else {
-            u64::from(frac)
-        };
-        let ts = Micros(u64::from(sec) * 1_000_000 + usec);
         self.packets_read += 1;
         Ok(Some(pcap::parse_ipv4(&data, orig_len, ts)))
     }
@@ -271,19 +351,18 @@ impl<R: Read> CaptureStream<R> {
                 if !matches!(self.fill(&mut bom), ReadOutcome::Full) {
                     return Err(self.truncated(start));
                 }
-                let section_endian = if u32::from_le_bytes(bom) == pcapng::BOM {
-                    pcapng::Endian::Little
-                } else if u32::from_be_bytes(bom) == pcapng::BOM {
-                    pcapng::Endian::Big
-                } else {
+                let Some(section_endian) = pcapng::bom_endian(bom) else {
                     return Err(self.fail(start, TraceError::BadMagic(u32::from_le_bytes(bom))));
                 };
-                let total_len = pcapng::u32_at(section_endian, &hdr[4..8]);
+                let total_len = section_endian.u32(&hdr[4..8]);
                 if !(28..=pcapng::MAX_BLOCK).contains(&total_len) || !total_len.is_multiple_of(4) {
                     return Err(self.fail(start, TraceError::OversizedRecord { caplen: total_len }));
                 }
-                if let Err(e) = self.skip(total_len as usize - 12) {
-                    return Err(self.fail(start, e));
+                // Version, section length, options, trailing length:
+                // nothing in the rest of the SHB is needed.
+                let mut rest = vec![0u8; total_len as usize - 12];
+                if !matches!(self.fill(&mut rest), ReadOutcome::Full) {
+                    return Err(self.truncated(start));
                 }
                 if let Format::Pcapng {
                     endian,
@@ -303,19 +382,17 @@ impl<R: Read> CaptureStream<R> {
                 unreachable!("pcapng loop in pcap mode")
             };
             let endian = *endian;
-            let block_type = pcapng::u32_at(endian, &hdr[0..4]);
-            let total_len = pcapng::u32_at(endian, &hdr[4..8]);
+            let block_type = endian.u32(&hdr[0..4]);
+            let total_len = endian.u32(&hdr[4..8]);
             if !(12..=pcapng::MAX_BLOCK).contains(&total_len) || !total_len.is_multiple_of(4) {
                 return Err(self.fail(start, TraceError::OversizedRecord { caplen: total_len }));
             }
-            let mut body = vec![0u8; total_len as usize - 12];
-            if !matches!(self.fill(&mut body), ReadOutcome::Full) {
+            // The body, then the trailing copy of the length.
+            let mut block = vec![0u8; total_len as usize - 8];
+            if !matches!(self.fill(&mut block), ReadOutcome::Full) {
                 return Err(self.truncated(start));
             }
-            let mut trailer = [0u8; 4];
-            if !matches!(self.fill(&mut trailer), ReadOutcome::Full) {
-                return Err(self.truncated(start));
-            }
+            let body = &block[..block.len() - 4];
 
             let Format::Pcapng {
                 interfaces,
@@ -327,13 +404,13 @@ impl<R: Read> CaptureStream<R> {
             };
             let packet = match block_type {
                 pcapng::IDB_TYPE => {
-                    if let Some(iface) = parse_idb(endian, &body) {
+                    if let Some(iface) = parse_idb(endian, body) {
                         interfaces.push(iface);
                     }
                     None
                 }
-                pcapng::EPB_TYPE => parse_epb(endian, &body, interfaces),
-                pcapng::SPB_TYPE => parse_spb(endian, &body, *last_ts),
+                pcapng::EPB_TYPE => parse_epb(endian, body, interfaces),
+                pcapng::SPB_TYPE => parse_spb(endian, body, *last_ts),
                 _ => None,
             };
             if let Some(p) = packet {
@@ -342,20 +419,6 @@ impl<R: Read> CaptureStream<R> {
                 return Ok(Some(p));
             }
         }
-    }
-
-    fn skip(&mut self, mut n: usize) -> Result<(), TraceError> {
-        let mut buf = [0u8; 4096];
-        while n > 0 {
-            let take = n.min(buf.len());
-            if !matches!(self.fill(&mut buf[..take]), ReadOutcome::Full) {
-                return Err(TraceError::TruncatedRecord {
-                    packets_read: self.packets_read,
-                });
-            }
-            n -= take;
-        }
-        Ok(())
     }
 
     /// Append up to `max` packets to `out`, returning how many arrived.
@@ -388,41 +451,6 @@ impl<R: Read> CaptureStream<R> {
         }
         Ok(got)
     }
-
-    /// Append up to `max` packets to the columns of `out`, returning
-    /// how many arrived. The columnar sibling of
-    /// [`next_batch`](CaptureStream::next_batch): element `i` of every
-    /// column is packet `i`'s projection, in file order, so a chunked
-    /// columnar decode sees exactly the packets a per-packet decode
-    /// would. Returns `Ok(0)` only at clean end of stream.
-    ///
-    /// # Errors
-    /// As [`next_packet`](CaptureStream::next_packet); packets decoded
-    /// before the fault are kept in `out`.
-    pub fn next_chunk(
-        &mut self,
-        max: usize,
-        out: &mut crate::batch::PacketBatch,
-    ) -> Result<usize, TraceError> {
-        let mut got = 0;
-        while got < max {
-            match self.next_packet()? {
-                Some(p) => {
-                    out.push(&p);
-                    got += 1;
-                }
-                None => break,
-            }
-        }
-        if got > 0 && obskit::recording_enabled() {
-            obskit::counter_labeled(
-                "nettrace_stream_packets_total",
-                &[("format", self.format())],
-            )
-            .add(got as u64);
-        }
-        Ok(got)
-    }
 }
 
 impl<R: Read> Iterator for CaptureStream<R> {
@@ -440,8 +468,8 @@ impl<R: Read> Iterator for CaptureStream<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lossy::salvage;
     use crate::pcap::write_pcap;
-    use crate::trace::Trace;
 
     fn sample_trace(n: u64) -> Trace {
         Trace::new(
@@ -470,7 +498,7 @@ mod tests {
         }
     }
 
-    /// A minimal little-endian pcapng builder (mirrors the batch tests).
+    /// A minimal little-endian pcapng builder (mirrors the pcapng tests).
     struct NgBuilder {
         buf: Vec<u8>,
     }
@@ -525,12 +553,13 @@ mod tests {
         let t = sample_trace(50);
         let mut buf = Vec::new();
         write_pcap(&mut buf, &t).unwrap();
-        let batch = crate::read_capture(buf.as_slice()).unwrap();
+        let reference = salvage(&buf);
+        assert!(reference.is_clean());
 
         let mut s = CaptureStream::new(buf.as_slice()).unwrap();
         assert_eq!(s.format(), "pcap");
         let streamed: Vec<PacketRecord> = (&mut s).map(|r| r.unwrap()).collect();
-        assert_eq!(streamed, batch.packets());
+        assert_eq!(streamed, reference.trace.packets());
         assert_eq!(s.packets_read(), 50);
         assert_eq!(s.byte_offset(), buf.len() as u64);
         assert!(s.fault_offset().is_none());
@@ -546,13 +575,14 @@ mod tests {
             b.epb(1_000 * i, 40 + i as u16);
         }
         b.spb(576); // no timestamp: rides on the previous packet's
-        let batch = crate::read_capture(b.buf.as_slice()).unwrap();
+        let reference = salvage(&b.buf);
+        assert!(reference.is_clean());
 
         let mut s = CaptureStream::new(b.buf.as_slice()).unwrap();
         assert_eq!(s.format(), "pcapng");
         let streamed: Vec<PacketRecord> = (&mut s).map(|r| r.unwrap()).collect();
         // This capture is in timestamp order, so file order == sorted.
-        assert_eq!(streamed, batch.packets());
+        assert_eq!(streamed, reference.trace.packets());
         assert_eq!(s.byte_offset(), b.buf.len() as u64);
     }
 
@@ -594,46 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn chunks_project_the_same_packets_as_batches() {
-        let t = sample_trace(25);
-        let mut buf = Vec::new();
-        write_pcap(&mut buf, &t).unwrap();
-        let mut s = CaptureStream::new(buf.as_slice()).unwrap();
-        let mut chunk = crate::batch::PacketBatch::new();
-        let mut sizes = Vec::new();
-        loop {
-            let before = chunk.len();
-            let got = s.next_chunk(7, &mut chunk).unwrap();
-            assert_eq!(chunk.len() - before, got);
-            if got == 0 {
-                break;
-            }
-            sizes.push(got);
-        }
-        assert_eq!(sizes, vec![7, 7, 7, 4]);
-        let pulled: Vec<PacketRecord> = CaptureStream::new(buf.as_slice())
-            .unwrap()
-            .map(|r| r.unwrap())
-            .collect();
-        assert_eq!(chunk, crate::batch::PacketBatch::from_records(&pulled));
-    }
-
-    #[test]
-    fn chunk_keeps_packets_decoded_before_a_fault() {
-        let t = sample_trace(3);
-        let mut buf = Vec::new();
-        write_pcap(&mut buf, &t).unwrap();
-        buf.truncate(buf.len() - 5);
-        let mut s = CaptureStream::new(buf.as_slice()).unwrap();
-        let mut chunk = crate::batch::PacketBatch::new();
-        match s.next_chunk(10, &mut chunk) {
-            Err(TraceError::TruncatedRecord { packets_read }) => assert_eq!(packets_read, 2),
-            other => panic!("expected truncation, got {other:?}"),
-        }
-        assert_eq!(chunk.len(), 2);
-    }
-
-    #[test]
     fn truncated_pcap_reports_offset_of_broken_record() {
         let t = sample_trace(3);
         let mut buf = Vec::new();
@@ -655,7 +645,7 @@ mod tests {
 
     #[test]
     fn header_stage_errors_match_batch_reader() {
-        // Short streams: truncated, never Io (batch contract).
+        // Short streams: truncated, never Io.
         for len in [0usize, 1, 3] {
             let bytes = vec![0xa1u8; len];
             assert!(
@@ -740,7 +730,6 @@ mod tests {
             .collect();
         let ts: Vec<u64> = packets.iter().map(|p| p.timestamp.as_u64()).collect();
         assert_eq!(ts, vec![2_000_000, 5_000_000]);
-        let batch = crate::read_capture(b.buf.as_slice()).unwrap();
-        assert_eq!(packets, batch.packets());
+        assert_eq!(packets, salvage(&b.buf).trace.packets());
     }
 }

@@ -1,10 +1,10 @@
-//! Property tests for the columnar ingest surface: decoding a capture
-//! in chunks into a [`PacketBatch`] is exactly the per-packet decode
-//! projected onto columns — same packets, same order, all four columns
-//! — for pcap and pcapng (including multi-section streams), at any
-//! chunk size, and up to the same fault on damaged tails.
+//! Property tests for the chunked ingest surface: decoding a capture
+//! with [`CaptureStream::next_batch`] — the call the stream engine
+//! makes — is exactly the per-packet decode: same packets, same order,
+//! for pcap and pcapng (including multi-section streams), at any chunk
+//! size, and up to the same fault on damaged tails.
 
-use nettrace::{CaptureStream, Micros, PacketBatch, PacketRecord, Trace};
+use nettrace::{CaptureStream, Micros, PacketRecord, Trace};
 use proptest::prelude::*;
 
 /// Monotone packets from (gap, size) pairs.
@@ -89,13 +89,13 @@ fn pull_all(bytes: &[u8]) -> (Vec<PacketRecord>, Option<nettrace::TraceError>) {
     }
 }
 
-/// Decode in `chunk`-sized columnar chunks; also returns the terminal
-/// error, if any.
-fn chunk_all(bytes: &[u8], chunk: usize) -> (PacketBatch, Option<nettrace::TraceError>) {
+/// Decode in `chunk`-sized batches; also returns the terminal error,
+/// if any.
+fn chunk_all(bytes: &[u8], chunk: usize) -> (Vec<PacketRecord>, Option<nettrace::TraceError>) {
     let mut s = CaptureStream::new(bytes).expect("header decodes");
-    let mut batch = PacketBatch::new();
+    let mut batch = Vec::new();
     loop {
-        match s.next_chunk(chunk, &mut batch) {
+        match s.next_batch(chunk, &mut batch) {
             Ok(0) => return (batch, None),
             Ok(n) => assert!(n <= chunk, "chunk overshot: {n} > {chunk}"),
             Err(e) => return (batch, Some(e)),
@@ -106,8 +106,8 @@ fn chunk_all(bytes: &[u8], chunk: usize) -> (PacketBatch, Option<nettrace::Trace
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // pcap: any packet mix, any chunk size — chunked columns are the
-    // per-packet decode projected by `PacketBatch::from_records`.
+    // pcap: any packet mix, any chunk size — the batches concatenate
+    // to the per-packet decode.
     #[test]
     fn pcap_chunks_match_per_packet_decode(
         gaps in prop::collection::vec((0u64..50_000, 0u16..1600), 0..150),
@@ -118,7 +118,7 @@ proptest! {
         let (batch, chunk_err) = chunk_all(&bytes, chunk);
         prop_assert!(pull_err.is_none() && chunk_err.is_none());
         prop_assert_eq!(pulled.len(), gaps.len());
-        prop_assert_eq!(batch, PacketBatch::from_records(&pulled));
+        prop_assert_eq!(batch, pulled);
     }
 
     // pcap with a mid-record truncation: both paths must salvage the
@@ -137,7 +137,7 @@ proptest! {
         let (batch, chunk_err) = chunk_all(&bytes, chunk);
         prop_assert!(pull_err.is_some() && chunk_err.is_some());
         prop_assert_eq!(pulled.len(), gaps.len() - 1);
-        prop_assert_eq!(batch, PacketBatch::from_records(&pulled));
+        prop_assert_eq!(batch, pulled);
     }
 
     // pcapng: multiple sections (each SHB resets the interface table),
@@ -157,6 +157,6 @@ proptest! {
         prop_assert!(pull_err.is_none() && chunk_err.is_none());
         let expected: usize = sections.iter().map(Vec::len).sum();
         prop_assert_eq!(pulled.len(), expected);
-        prop_assert_eq!(batch, PacketBatch::from_records(&pulled));
+        prop_assert_eq!(batch, pulled);
     }
 }
