@@ -365,6 +365,31 @@ cmp "$tmpdir/collect.multi.reports" "$tmpdir/collect.single.reports" || {
     echo "multi-shard reports diverge from the single-shard run" >&2
     exit 1
 }
+# The same contract on an evicting shape: 3000 flows per window against
+# a 1000-flow lane budget, and 4099-packet windows, so the windower's
+# flow runs end at odd points inside every window. The report bytes are
+# pinned, and the summary must count every eviction (6 lanes × 3
+# windows × 2000).
+for shards in 3 1; do
+    "$bin" serve --shards "$shards" --tenants 3 --interfaces 2 --windows 3 \
+        --window-packets 4099 --flows-per-window 3000 --lane-flow-budget 1000 \
+        --interval 10 --seed 1993 --jsonl "$tmpdir/collect.evict.$shards.jsonl" > /dev/null
+    grep -v '"summary"' "$tmpdir/collect.evict.$shards.jsonl" \
+        > "$tmpdir/collect.evict.$shards.reports"
+    grep '"summary"' "$tmpdir/collect.evict.$shards.jsonl" | grep -qF '"evicted_flows":36000' || {
+        echo "evicting collector (S=$shards) summary does not count 36000 evictions" >&2
+        exit 1
+    }
+done
+cmp "$tmpdir/collect.evict.3.reports" "$tmpdir/collect.evict.1.reports" || {
+    echo "evicting multi-shard reports diverge from the single-shard run" >&2
+    exit 1
+}
+echo "c6aae75ae7fdc7510f258e9428fe272958ce7709bb4a90fea2fdd7906f4e65fe  $tmpdir/collect.evict.1.reports" \
+    | sha256sum -c --quiet - || {
+    echo "evicting collector report bytes moved" >&2
+    exit 1
+}
 # Live shard telemetry: a draining collector on an ephemeral port must
 # expose the per-shard gauges mid-run, with the per-shard RSS alert
 # rule installed and quiet (the soak gate below proves it can fire by

@@ -55,10 +55,12 @@ use streamkit::{StreamMethod, WindowPayload, WindowSpec, Windower};
 /// windower's dispatch.
 const CHUNK: usize = 8_192;
 
-/// Estimated resident bytes per live flow (hash entry + stats + LRU
-/// index) — the accounting behind `collectd_shard_rss_kb`. Real RSS is
-/// process-global; this model attributes the dominant per-shard state
-/// (flow tables) so the per-shard budget rule has a shard-local signal.
+/// Estimated resident bytes per live flow (hash entry + stats) — the
+/// accounting behind `collectd_shard_rss_kb`. Windower flow tables never
+/// hold an LRU index: buckets aggregate unbounded and the window merge
+/// truncates without building one. Real RSS is process-global; this
+/// model attributes the dominant per-shard state (flow tables) so the
+/// per-shard budget rule has a shard-local signal.
 const FLOW_STATE_BYTES: u64 = 96;
 
 /// What feeds each lane.
@@ -224,8 +226,6 @@ struct LaneState {
     lane: Lane,
     feed: Feed,
     windower: Windower,
-    /// Cumulative evicted flows reported by closed windows.
-    evicted: u64,
 }
 
 /// Everything one shard owns. Wrapped in a `Mutex` so the coordinator
@@ -336,7 +336,6 @@ impl Collector {
                     lane,
                     feed,
                     windower,
-                    evicted: 0,
                 });
             }
             let label = shard.to_string();
@@ -490,7 +489,7 @@ impl Collector {
                 .map_err(|_| CollectError::Pool(format!("shard {s} lock poisoned")))?;
             for lane in &mut st.lanes {
                 for payload in lane.windower.finish() {
-                    lane.evicted += payload.evicted_flows;
+                    self.evictions[s] += payload.evicted_flows;
                     self.windows.push(LaneWindow {
                         lane: lane.lane,
                         payload,
@@ -583,7 +582,6 @@ impl ShardState {
                 let room = (effective - offered).min(got as u64) as usize;
                 if room > 0 {
                     for payload in lane.windower.offer_slice(&chunk[..room]) {
-                        lane.evicted += payload.evicted_flows;
                         out.evictions += payload.evicted_flows;
                         out.live_flows += payload.flows;
                         payload_count += 1;

@@ -231,6 +231,39 @@ mod tests {
     }
 
     #[test]
+    fn drained_summary_counts_the_evictions_of_flushed_partial_windows() {
+        use std::time::{Duration, Instant};
+        let mut cfg = small_cfg(2);
+        // Every chunk touches all 3000 round-robin flows of the window,
+        // so any partial window the drain flushes overflows the budget
+        // of 1000 and evicts at its merge inside `finish`.
+        cfg.windows = 1_000;
+        cfg.window_packets = 400_000;
+        cfg.lane_queue = 400_000;
+        cfg.lane_flow_budget = 1_000;
+        cfg.source = LaneSource::Synth {
+            flows_per_window: 3_000,
+            size_dist: FlowSizeDist::Zipf {
+                max_size: 200,
+                alpha: 1.2,
+            },
+            mean_gap_us: 10,
+        };
+        let deadline = Instant::now() + Duration::from_millis(100);
+        let out = run_collector(cfg, &Pool::serial(), Some(deadline), |_| {}).unwrap();
+        let s = &out.summary;
+        assert!(s.drained, "the deadline must end the run early");
+        assert!(s.ingested > 0, "some packets flowed before the deadline");
+        // Wherever the drain lands, the summary totals are the sums of
+        // the reports it summarizes.
+        let evicted: u64 = out.reports.iter().map(|r| r.evicted_flows).sum();
+        let flows: u64 = out.reports.iter().map(|r| r.flows).sum();
+        assert!(evicted > 0, "the flushed partial windows evict");
+        assert_eq!(s.evicted_flows, evicted);
+        assert_eq!(s.flows_reported, flows);
+    }
+
+    #[test]
     fn observer_sees_monotone_rounds_and_shard_gauges() {
         let mut rounds = Vec::new();
         let out = run_collector(small_cfg(2), &Pool::serial(), None, |r| {

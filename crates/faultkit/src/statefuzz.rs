@@ -38,7 +38,7 @@ use collectd::{route, CollectError, Collector, CollectorConfig, LaneSource, Rout
 use netstat_sim::Fleet;
 use netsynth::FlowSizeDist;
 use nettrace::time::Micros;
-use nettrace::{BinSpec, FlowTable, Histogram, PacketRecord};
+use nettrace::{BinSpec, FlowKey, FlowRecord, FlowTable, Histogram, PacketRecord};
 use parkit::Pool;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -546,28 +546,40 @@ impl Fuzzer {
 
     /// Drive the flow table through a hostile packet stream — the
     /// adversarial timestamps of [`hostile_packets`] decorated with
-    /// adversarial flow identities — streamed, batched, and as a merge
-    /// of unbounded halves. Contracts: no panic, the capacity bound
-    /// holds, packet conservation (live + evicted == offered), batch
-    /// aggregation is bit-identical to streaming, and merging two
-    /// unbounded halves equals one unbounded pass.
+    /// adversarial flow identities — streamed, batched, as a merge of
+    /// unbounded halves, as two `offer_slice` runs, and as an unbounded
+    /// half truncated to the capacity before the rest is offered.
+    /// Contracts: no panic, the capacity bound holds, packet
+    /// conservation (live + evicted == offered), batch aggregation is
+    /// bit-identical to streaming, merging two unbounded halves equals
+    /// one unbounded pass, and the sliced and truncated tables match a
+    /// brute-force LRU model flow for flow.
     fn fuzz_flow_table(&mut self, rng: &mut StdRng) {
         let cap = rng.random_range(1usize..=64);
         let packets = hostile_flow_packets(rng);
         self.offers += 4 * packets.len() as u64;
         let offered = packets.len() as u64;
+        let mid = packets.len() / 2;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut streamed = FlowTable::with_capacity(cap);
             for p in &packets {
                 streamed.offer(p);
             }
             let batch = FlowTable::from_packets(cap, &packets);
-            let mid = packets.len() / 2;
             let mut merged = FlowTable::unbounded();
             merged.merge(&FlowTable::from_packets(usize::MAX, &packets[..mid]));
             merged.merge(&FlowTable::from_packets(usize::MAX, &packets[mid..]));
             let whole = FlowTable::from_packets(usize::MAX, &packets);
-            (streamed, batch, merged, whole)
+            let mut sliced = FlowTable::with_capacity(cap);
+            sliced.offer_slice(&packets[..mid]);
+            sliced.offer_slice(&packets[mid..]);
+            let mut truncated = FlowTable::unbounded();
+            truncated.offer_slice(&packets[..mid]);
+            truncated.truncate_lru(cap);
+            for p in &packets[mid..] {
+                truncated.offer(p);
+            }
+            (streamed, batch, merged, whole, sliced, truncated)
         }));
         match outcome {
             Err(panic) => {
@@ -578,7 +590,7 @@ impl Fuzzer {
                 );
                 self.record("flow_table", "panic");
             }
-            Ok((streamed, batch, merged, whole)) => {
+            Ok((streamed, batch, merged, whole, sliced, truncated)) => {
                 if streamed.len() > cap {
                     self.violation(
                         "flow_table",
@@ -620,6 +632,33 @@ impl Fuzzer {
                             whole.len()
                         ),
                     );
+                }
+                let mut model = LruModel::new(cap);
+                packets.iter().for_each(|p| model.offer(p));
+                let mut model_truncated = LruModel::new(usize::MAX);
+                packets[..mid].iter().for_each(|p| model_truncated.offer(p));
+                model_truncated.truncate(cap);
+                packets[mid..].iter().for_each(|p| model_truncated.offer(p));
+                for (what, table, model) in [
+                    ("offer_slice halves", &sliced, &model),
+                    ("truncate_lru then offer", &truncated, &model_truncated),
+                ] {
+                    if snapshot(table) != model.snapshot()
+                        || table.evicted_flows() != model.evicted_flows
+                        || table.evicted_packets() != model.evicted_packets
+                    {
+                        self.violation(
+                            "flow_table",
+                            format!(
+                                "{what} diverged from the LRU model at capacity {cap}: \
+                                 {} vs {} flows, {} vs {} evicted",
+                                table.len(),
+                                model.flows.len(),
+                                table.evicted_flows(),
+                                model.evicted_flows
+                            ),
+                        );
+                    }
                 }
                 self.record("flow_table", "ok");
                 self.digest.update_u64(streamed.len() as u64);
@@ -1195,6 +1234,75 @@ fn hostile_flow_packets(rng: &mut StdRng) -> Vec<PacketRecord> {
             }
         })
         .collect()
+}
+
+/// Brute-force LRU flow table: a flat list scanned for every victim,
+/// with none of [`FlowTable`]'s hash map, order index or stale-index
+/// rebuild — the reference its offers and truncations must match.
+struct LruModel {
+    cap: usize,
+    flows: Vec<(FlowKey, FlowRecord)>,
+    evicted_flows: u64,
+    evicted_packets: u64,
+}
+
+impl LruModel {
+    fn new(cap: usize) -> LruModel {
+        LruModel {
+            cap,
+            flows: Vec::new(),
+            evicted_flows: 0,
+            evicted_packets: 0,
+        }
+    }
+
+    fn offer(&mut self, p: &PacketRecord) {
+        let key = FlowKey::of(p);
+        if let Some((_, r)) = self.flows.iter_mut().find(|(k, _)| *k == key) {
+            r.packets += 1;
+            r.bytes += u64::from(p.size);
+            r.syn_seen |= p.syn();
+            r.first_ts = r.first_ts.min(p.timestamp);
+            r.last_ts = r.last_ts.max(p.timestamp);
+            return;
+        }
+        if self.flows.len() >= self.cap {
+            self.evict_oldest();
+        }
+        self.flows.push((
+            key,
+            FlowRecord {
+                packets: 1,
+                bytes: u64::from(p.size),
+                syn_seen: p.syn(),
+                first_ts: p.timestamp,
+                last_ts: p.timestamp,
+            },
+        ));
+    }
+
+    /// Evict the least-recently-updated flow, smallest key on ties.
+    fn evict_oldest(&mut self) {
+        let victim = (0..self.flows.len())
+            .min_by_key(|&i| (self.flows[i].1.last_ts, self.flows[i].0))
+            .expect("a full model holds a flow");
+        let (_, rec) = self.flows.remove(victim);
+        self.evicted_flows += 1;
+        self.evicted_packets += rec.packets;
+    }
+
+    fn truncate(&mut self, cap: usize) {
+        self.cap = cap;
+        while self.flows.len() > cap {
+            self.evict_oldest();
+        }
+    }
+
+    fn snapshot(&self) -> Vec<(FlowKey, FlowRecord)> {
+        let mut v = self.flows.clone();
+        v.sort_unstable_by_key(|&(k, _)| k);
+        v
+    }
 }
 
 /// A hostile sampled-flow-size vector: zeros (an upstream aggregation

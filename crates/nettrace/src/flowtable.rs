@@ -22,9 +22,15 @@
 //!
 //! The hot path is `O(1)` per packet: an unbounded table is one hash
 //! probe per offer (no eviction index at all), which is what lets the
-//! streaming windower aggregate flows per bucket at line rate and
-//! enforce its budget once per window via
-//! [`FlowTable::truncate_lru`].
+//! streaming windower aggregate flows per bucket at line rate — in runs,
+//! via [`FlowTable::offer_slice`] — and enforce its budget once per
+//! window via [`FlowTable::truncate_lru`].
+//!
+//! A bounded table keeps an LRU order index beside the map. Offers to a
+//! table created bounded maintain it as they go; [`FlowTable::truncate_lru`]
+//! only marks it stale, and the next bounded [`FlowTable::offer`] or
+//! [`FlowTable::merge`] rebuilds it. A table truncated and then only
+//! read — the windower's case — never builds the index at all.
 
 use crate::histogram::{BinSpec, Histogram};
 use crate::packet::{PacketRecord, Protocol};
@@ -175,6 +181,31 @@ pub struct FlowRecord {
     pub last_ts: Micros,
 }
 
+impl FlowRecord {
+    /// The state of a flow that has seen exactly `p`.
+    #[inline]
+    fn of(p: &PacketRecord) -> FlowRecord {
+        FlowRecord {
+            packets: 1,
+            bytes: u64::from(p.size),
+            syn_seen: p.syn(),
+            first_ts: p.timestamp,
+            last_ts: p.timestamp,
+        }
+    }
+
+    /// The per-flow update rule: counters add, SYN ors, first/last
+    /// timestamps widen.
+    #[inline]
+    fn absorb(&mut self, other: &FlowRecord) {
+        self.packets += other.packets;
+        self.bytes += other.bytes;
+        self.syn_seen |= other.syn_seen;
+        self.first_ts = self.first_ts.min(other.first_ts);
+        self.last_ts = self.last_ts.max(other.last_ts);
+    }
+}
+
 /// Bounded, deterministic flow aggregator. See the module docs.
 #[derive(Debug, Clone)]
 pub struct FlowTable {
@@ -185,6 +216,9 @@ pub struct FlowTable {
     /// scan there turns streaming aggregation quadratic. Unbounded
     /// tables never evict, so they skip the index entirely.
     order: BTreeSet<(Micros, FlowKey)>,
+    /// Set by [`FlowTable::truncate_lru`] on a bounded table: `order` is
+    /// empty and must be rebuilt before the next bounded offer or merge.
+    order_stale: bool,
     cap: usize,
     evicted_flows: u64,
     evicted_packets: u64,
@@ -203,6 +237,7 @@ impl FlowTable {
         FlowTable {
             map: FlowMap::default(),
             order: BTreeSet::new(),
+            order_stale: false,
             cap,
             evicted_flows: 0,
             evicted_packets: 0,
@@ -229,9 +264,7 @@ impl FlowTable {
     #[must_use]
     pub fn from_packets(cap: usize, packets: &[PacketRecord]) -> FlowTable {
         let mut t = FlowTable::with_capacity(cap);
-        for p in packets {
-            t.offer(p);
-        }
+        t.offer_slice(packets);
         t
     }
 
@@ -239,42 +272,71 @@ impl FlowTable {
     /// capacity first evicts the least-recently-updated flow (smallest
     /// key on ties).
     pub fn offer(&mut self, p: &PacketRecord) {
-        self.offered += 1;
-        let key = FlowKey::of(p);
-        // Length check first: below capacity (and always when
-        // unbounded) the offer is a single hash probe.
-        if self.map.len() >= self.cap && !self.map.contains_key(&key) {
-            self.evict_one();
+        self.offer_slice(std::slice::from_ref(p));
+    }
+
+    /// Offer a run of packets in order: exactly the left fold of
+    /// [`FlowTable::offer`]. On an unbounded table it is one tight loop
+    /// of hash probes and updates with no eviction or index work, so
+    /// the lookups of consecutive packets can overlap their cache
+    /// misses.
+    pub fn offer_slice(&mut self, pkts: &[PacketRecord]) {
+        self.offered += pkts.len() as u64;
+        if self.cap == usize::MAX {
+            // The update is spelled out here rather than through `fold`:
+            // with `fold`'s index branches in the body the loop ran the
+            // soak windower at about half the rate.
+            for p in pkts {
+                let rec = FlowRecord::of(p);
+                match self.map.entry(FlowKey::of(p)) {
+                    Entry::Occupied(mut e) => e.get_mut().absorb(&rec),
+                    Entry::Vacant(e) => {
+                        e.insert(rec);
+                    }
+                }
+            }
+            return;
         }
+        self.refresh_order();
+        for p in pkts {
+            let key = FlowKey::of(p);
+            if self.map.len() >= self.cap && !self.map.contains_key(&key) {
+                self.evict_one();
+            }
+            self.fold(key, &FlowRecord::of(p));
+        }
+    }
+
+    /// Fold `rec` into flow `key` (no eviction) by
+    /// [`FlowRecord::absorb`], keeping the LRU index in step on a
+    /// bounded table. Shared by offers and merges.
+    fn fold(&mut self, key: FlowKey, rec: &FlowRecord) {
+        let indexed = self.cap != usize::MAX;
         match self.map.entry(key) {
             Entry::Occupied(mut e) => {
-                let rec = e.get_mut();
-                rec.packets += 1;
-                rec.bytes += u64::from(p.size);
-                rec.syn_seen |= p.syn();
-                if p.timestamp < rec.first_ts {
-                    rec.first_ts = p.timestamp;
-                }
-                if p.timestamp > rec.last_ts {
-                    if self.cap != usize::MAX {
-                        self.order.remove(&(rec.last_ts, key));
-                        self.order.insert((p.timestamp, key));
-                    }
-                    rec.last_ts = p.timestamp;
+                let r = e.get_mut();
+                let last = r.last_ts;
+                r.absorb(rec);
+                if indexed && r.last_ts != last {
+                    self.order.remove(&(last, key));
+                    self.order.insert((r.last_ts, key));
                 }
             }
             Entry::Vacant(e) => {
-                e.insert(FlowRecord {
-                    packets: 1,
-                    bytes: u64::from(p.size),
-                    syn_seen: p.syn(),
-                    first_ts: p.timestamp,
-                    last_ts: p.timestamp,
-                });
-                if self.cap != usize::MAX {
-                    self.order.insert((p.timestamp, key));
+                e.insert(*rec);
+                if indexed {
+                    self.order.insert((rec.last_ts, key));
                 }
             }
+        }
+    }
+
+    /// Rebuild the LRU index if [`FlowTable::truncate_lru`] left it
+    /// stale; a no-op otherwise.
+    fn refresh_order(&mut self) {
+        if self.order_stale {
+            self.order = self.map.iter().map(|(k, r)| (r.last_ts, *k)).collect();
+            self.order_stale = false;
         }
     }
 
@@ -301,47 +363,22 @@ impl FlowTable {
     pub fn merge(&mut self, other: &FlowTable) {
         if self.cap == usize::MAX {
             for (key, rec) in &other.map {
-                self.merge_record(*key, rec);
+                self.fold(*key, rec);
             }
         } else {
+            self.refresh_order();
             let mut keys: Vec<&FlowKey> = other.map.keys().collect();
             keys.sort_unstable();
             for key in keys {
                 if self.map.len() >= self.cap && !self.map.contains_key(key) {
                     self.evict_one();
                 }
-                self.merge_record(*key, &other.map[key]);
+                self.fold(*key, &other.map[key]);
             }
         }
         self.evicted_flows += other.evicted_flows;
         self.evicted_packets += other.evicted_packets;
         self.offered += other.offered;
-    }
-
-    /// Fold one flow's accumulated state into this table (no eviction).
-    fn merge_record(&mut self, key: FlowKey, rec: &FlowRecord) {
-        match self.map.entry(key) {
-            Entry::Occupied(mut e) => {
-                let r = e.get_mut();
-                r.packets += rec.packets;
-                r.bytes += rec.bytes;
-                r.syn_seen |= rec.syn_seen;
-                r.first_ts = r.first_ts.min(rec.first_ts);
-                if rec.last_ts > r.last_ts {
-                    if self.cap != usize::MAX {
-                        self.order.remove(&(r.last_ts, key));
-                        self.order.insert((rec.last_ts, key));
-                    }
-                    r.last_ts = rec.last_ts;
-                }
-            }
-            Entry::Vacant(e) => {
-                e.insert(*rec);
-                if self.cap != usize::MAX {
-                    self.order.insert((rec.last_ts, key));
-                }
-            }
-        }
     }
 
     /// Enforce a capacity bound in one shot: keep the `cap`
@@ -353,6 +390,12 @@ impl FlowTable {
     /// unbounded (one hash probe per packet), and the survivor set is
     /// chosen once per window — `O(flows)` to select — instead of
     /// maintaining an eviction index on every packet.
+    ///
+    /// The LRU index is not rebuilt here: a bounded result only marks it
+    /// stale, and the next [`FlowTable::offer`] or [`FlowTable::merge`]
+    /// rebuilds it before its first bounded step, so eviction after a
+    /// truncate is unchanged. A truncated table that is only read never
+    /// pays for the index.
     ///
     /// # Panics
     /// Panics when `cap == 0`.
@@ -373,9 +416,8 @@ impl FlowTable {
                 }
             }
         }
-        if self.cap != usize::MAX {
-            self.order = self.map.iter().map(|(k, r)| (r.last_ts, *k)).collect();
-        }
+        self.order.clear();
+        self.order_stale = self.cap != usize::MAX;
     }
 
     /// Live flows.
@@ -525,6 +567,146 @@ mod tests {
         let rec = a.flows().next().unwrap().1;
         assert_eq!((rec.first_ts, rec.last_ts), (Micros(0), Micros(20)));
         assert!(rec.syn_seen);
+    }
+
+    /// Brute-force LRU reference: a flat list scanned for every victim,
+    /// sharing none of the table's map, index or stale-index rebuild.
+    struct Model {
+        cap: usize,
+        flows: Vec<(FlowKey, FlowRecord)>,
+        evicted_flows: u64,
+        evicted_packets: u64,
+    }
+
+    impl Model {
+        fn new(cap: usize) -> Model {
+            Model {
+                cap,
+                flows: Vec::new(),
+                evicted_flows: 0,
+                evicted_packets: 0,
+            }
+        }
+
+        fn fold(&mut self, key: FlowKey, rec: FlowRecord) {
+            if let Some((_, r)) = self.flows.iter_mut().find(|(k, _)| *k == key) {
+                r.packets += rec.packets;
+                r.bytes += rec.bytes;
+                r.syn_seen |= rec.syn_seen;
+                r.first_ts = r.first_ts.min(rec.first_ts);
+                r.last_ts = r.last_ts.max(rec.last_ts);
+                return;
+            }
+            if self.flows.len() >= self.cap {
+                self.evict_oldest();
+            }
+            self.flows.push((key, rec));
+        }
+
+        fn offer(&mut self, p: &PacketRecord) {
+            let rec = FlowRecord {
+                packets: 1,
+                bytes: u64::from(p.size),
+                syn_seen: p.syn(),
+                first_ts: p.timestamp,
+                last_ts: p.timestamp,
+            };
+            self.fold(FlowKey::of(p), rec);
+        }
+
+        fn evict_oldest(&mut self) {
+            let victim = (0..self.flows.len())
+                .min_by_key(|&i| (self.flows[i].1.last_ts, self.flows[i].0))
+                .unwrap();
+            let (_, rec) = self.flows.remove(victim);
+            self.evicted_flows += 1;
+            self.evicted_packets += rec.packets;
+        }
+
+        fn truncate(&mut self, cap: usize) {
+            self.cap = cap;
+            while self.flows.len() > cap {
+                self.evict_oldest();
+            }
+        }
+
+        fn snapshot(&self) -> Vec<(FlowKey, FlowRecord)> {
+            let mut v = self.flows.clone();
+            v.sort_unstable_by_key(|&(k, _)| k);
+            v
+        }
+    }
+
+    fn snapshot(t: &FlowTable) -> Vec<(FlowKey, FlowRecord)> {
+        t.flows().map(|(k, r)| (*k, *r)).collect()
+    }
+
+    /// `n` packets over `flows` ids with coarse, often equal, sometimes
+    /// backwards timestamps (a fixed LCG, so the stream is pinned).
+    fn scrambled(n: u64, flows: u64, seed: u64) -> Vec<PacketRecord> {
+        let mut x = seed;
+        (0..n)
+            .map(|i| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let flow = (x >> 33) % flows + 1;
+                let t = (i + (x >> 60)) / 3;
+                pkt(t, flow as u32, x >> 62 == 0)
+            })
+            .collect()
+    }
+
+    fn assert_matches(t: &FlowTable, m: &Model, what: &str) {
+        assert_eq!(snapshot(t), m.snapshot(), "{what}: survivors");
+        assert_eq!(t.evicted_flows(), m.evicted_flows, "{what}: victims");
+        assert_eq!(t.evicted_packets(), m.evicted_packets, "{what}: packets");
+    }
+
+    #[test]
+    fn offers_after_truncate_evict_like_a_brute_force_lru() {
+        for cap in [1, 3, 8, 20] {
+            let pkts = scrambled(300, 40, cap as u64);
+            let (head, tail) = pkts.split_at(150);
+            let mut t = FlowTable::from_packets(usize::MAX, head);
+            let mut m = Model::new(usize::MAX);
+            head.iter().for_each(|p| m.offer(p));
+            t.truncate_lru(cap);
+            m.truncate(cap);
+            assert_matches(&t, &m, "truncate");
+            for (i, p) in tail.iter().enumerate() {
+                t.offer(p);
+                m.offer(p);
+                assert_matches(&t, &m, &format!("cap {cap}, offer {i}"));
+            }
+            assert!(m.evicted_flows > 40, "cap {cap}: the tail must evict");
+        }
+    }
+
+    #[test]
+    fn merge_after_truncate_evicts_like_a_brute_force_lru() {
+        for cap in [1, 3, 8, 20] {
+            let pkts = scrambled(300, 40, 100 + cap as u64);
+            let (head, tail) = pkts.split_at(150);
+            let mut t = FlowTable::from_packets(usize::MAX, head);
+            let mut m = Model::new(usize::MAX);
+            head.iter().for_each(|p| m.offer(p));
+            t.truncate_lru(cap);
+            m.truncate(cap);
+            // A bounded merge folds the other table's flows in key order.
+            let other = FlowTable::from_packets(usize::MAX, tail);
+            t.merge(&other);
+            for (k, r) in snapshot(&other) {
+                m.fold(k, r);
+            }
+            assert_matches(&t, &m, &format!("cap {cap}, merge"));
+            // The index the merge rebuilt keeps serving later offers.
+            for p in &pkts[..50] {
+                t.offer(p);
+                m.offer(p);
+            }
+            assert_matches(&t, &m, &format!("cap {cap}, offers after merge"));
+        }
     }
 
     #[test]

@@ -41,8 +41,18 @@ use std::collections::VecDeque;
 /// hash probe per packet, and the merge keeps the budget's worth of
 /// most-recently-updated flows in a single O(flows) selection
 /// ([`FlowTable::truncate_lru`]) with the same deterministic
-/// least-recently-updated-first, smallest-key-on-ties policy.
+/// least-recently-updated-first, smallest-key-on-ties policy. The
+/// merged table is only read, so its LRU index is never built.
+///
+/// This is a budget only: a bucket's table is pre-sized from the flow
+/// counts of the buckets that closed before it, not from this constant.
 const BUCKET_FLOW_CAP: usize = 4_096;
+
+/// Packets the windower buffers for the open bucket's parent flow table
+/// before handing them over in one [`FlowTable::offer_slice`] run. A
+/// dedicated loop of table lookups lets their cache misses overlap,
+/// which the per-packet sampler and histogram work in between does not.
+const FLOW_RUN: usize = 256;
 
 /// Window (or slide stride) extent: a packet count or a time span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +176,9 @@ struct Bucket {
 }
 
 impl Bucket {
-    fn new(start_ts: Micros, target: Target) -> Self {
+    /// An empty bucket whose parent flow table is pre-sized for
+    /// `flows_hint` flows.
+    fn new(start_ts: Micros, target: Target, flows_hint: usize) -> Self {
         Bucket {
             start_ts,
             first_ts: None,
@@ -176,11 +188,12 @@ impl Bucket {
             population: Histogram::new(target.bins()),
             sample: Histogram::new(target.bins()),
             // Unbounded on the hot path; the window merge enforces the
-            // flow budget (see BUCKET_FLOW_CAP). Pre-sized to the
-            // budget so a flow-heavy bucket skips the rehash chain.
+            // flow budget (see BUCKET_FLOW_CAP). Pre-sized from the
+            // flow counts of recently closed buckets (see
+            // `Windower::next_reserve`).
             flows: {
                 let mut t = FlowTable::unbounded();
-                t.reserve(BUCKET_FLOW_CAP);
+                t.reserve(flows_hint);
                 t
             },
             // Selected packets are a 1-in-k thinning of the stream; the
@@ -204,6 +217,18 @@ pub struct Windower {
     /// `buckets_per_window - 1` entries between offers.
     ring: VecDeque<Bucket>,
     cur: Option<Bucket>,
+    /// Packets accumulated into `cur` whose parent-table offers are
+    /// still pending; flushed in runs of [`FLOW_RUN`], before the bucket
+    /// closes, and before every public offer returns.
+    run: Vec<PacketRecord>,
+    /// Pre-size of the next bucket's parent table: the smaller parent
+    /// flow count of the last two closed buckets, so a steady stream
+    /// skips the rehash chain while one flow-heavy bucket does not
+    /// oversize the lighter ones after it.
+    next_reserve: usize,
+    /// Parent flows of the bucket that closed last (`usize::MAX` before
+    /// the first close).
+    last_closed_flows: usize,
     /// Current bucket's grid start (time mode).
     cur_start: Micros,
     prev_ts: Option<Micros>,
@@ -249,6 +274,9 @@ impl Windower {
             sampler,
             ring: VecDeque::new(),
             cur: None,
+            run: Vec::with_capacity(FLOW_RUN),
+            next_reserve: 0,
+            last_closed_flows: usize::MAX,
             cur_start: Micros::ZERO,
             prev_ts: None,
             next_index: 0,
@@ -305,6 +333,7 @@ impl Windower {
     pub fn offer(&mut self, pkt: &PacketRecord) -> Vec<WindowPayload> {
         let mut out = Vec::new();
         self.offer_into(pkt, &mut out);
+        self.flush_run();
         out
     }
 
@@ -317,7 +346,22 @@ impl Windower {
         for p in pkts {
             self.offer_into(p, &mut out);
         }
+        self.flush_run();
         out
+    }
+
+    /// A new bucket at `start_ts`, its flow table sized from the last
+    /// closed buckets.
+    fn bucket(&self, start_ts: Micros) -> Bucket {
+        Bucket::new(start_ts, self.target, self.next_reserve)
+    }
+
+    /// Hand the pending run to the open bucket's parent flow table.
+    fn flush_run(&mut self) {
+        if let Some(cur) = self.cur.as_mut() {
+            cur.flows.offer_slice(&self.run);
+        }
+        self.run.clear();
     }
 
     fn offer_into(&mut self, pkt: &PacketRecord, out: &mut Vec<WindowPayload>) {
@@ -331,7 +375,7 @@ impl Windower {
                 if self.cur.is_none() {
                     // The first packet anchors the window grid.
                     self.cur_start = pkt.timestamp;
-                    self.cur = Some(Bucket::new(self.cur_start, self.target));
+                    self.cur = Some(self.bucket(self.cur_start));
                 } else {
                     let ahead = pkt
                         .timestamp
@@ -346,28 +390,30 @@ impl Windower {
                     for _ in 0..closes {
                         self.close_current(out);
                         self.cur_start = Micros(self.cur_start.as_u64() + s);
-                        self.cur = Some(Bucket::new(self.cur_start, self.target));
+                        self.cur = Some(self.bucket(self.cur_start));
                     }
                     if ahead > closes as u64 {
                         let skipped = ahead - closes as u64;
                         self.cur_start = Micros(self.cur_start.as_u64() + skipped * s);
                         // The ring holds only empty gap buckets now;
                         // rebuild them on the jumped-to grid positions.
+                        // They never receive packets: reserve nothing.
                         self.ring.clear();
                         for j in (1..self.buckets_per_window as u64).rev() {
                             self.ring.push_back(Bucket::new(
                                 Micros(self.cur_start.as_u64().saturating_sub(j * s)),
                                 self.target,
+                                0,
                             ));
                         }
-                        self.cur = Some(Bucket::new(self.cur_start, self.target));
+                        self.cur = Some(self.bucket(self.cur_start));
                     }
                 }
                 self.accumulate(pkt, edge_gap);
             }
             WindowSpec::Count(stride) => {
                 if self.cur.is_none() {
-                    self.cur = Some(Bucket::new(pkt.timestamp, self.target));
+                    self.cur = Some(self.bucket(pkt.timestamp));
                 }
                 self.accumulate(pkt, edge_gap);
                 if self.cur.as_ref().map(|b| b.packets) == Some(stride) {
@@ -419,7 +465,6 @@ impl Windower {
                 cur.sam_edge = cur.pop_edge;
             }
         }
-        cur.flows.offer(pkt);
         if verdict == Offer::Selected {
             cur.sampled.offer(pkt);
         }
@@ -430,6 +475,10 @@ impl Windower {
         cur.last_ts = Some(pkt.timestamp);
         self.prev_ts = Some(pkt.timestamp);
         self.packets_total += 1;
+        self.run.push(*pkt);
+        if self.run.len() == FLOW_RUN {
+            self.flush_run();
+        }
     }
 
     /// Complete the current bucket: drain any buffered sampler
@@ -437,7 +486,11 @@ impl Windower {
     /// if one is now complete (fully-empty windows are skipped). The
     /// eviction keeps the ring bounded at `buckets_per_window`.
     fn close_current(&mut self, out: &mut Vec<WindowPayload>) {
+        self.flush_run();
         let mut bucket = self.cur.take().expect("current bucket");
+        let flows = bucket.flows.len();
+        self.next_reserve = flows.min(self.last_closed_flows);
+        self.last_closed_flows = flows;
         for item in self.sampler.flush() {
             bucket.selected += 1;
             self.selected_total += 1;
@@ -812,33 +865,74 @@ mod tests {
     }
 
     /// `offer_slice` is the left fold of `offer`: same windows, same
-    /// histograms, same flow counts, for tumbling and sliding shapes and
-    /// for any chunking of the stream.
+    /// histograms, same flow accounting, for tumbling and sliding shapes
+    /// and for any chunking of the stream — including chunks that end
+    /// just before, at, and just after a flow-run boundary, after which
+    /// `live_flows` must already count every offered packet's flow.
     #[test]
     fn offer_slice_matches_per_packet_offers() {
-        let pkts: Vec<PacketRecord> = (0..500u64)
+        let few: Vec<PacketRecord> = (0..500u64)
             .map(|i| {
                 PacketRecord::new(Micros(i * 900), if i % 2 == 0 { 40 } else { 552 })
                     .with_flow((i % 7) as u32 + 1, i < 7)
             })
             .collect();
-        for (window, slide) in [
-            (WindowSpec::Count(120), None),
-            (WindowSpec::Count(120), Some(WindowSpec::Count(30))),
-            (WindowSpec::Time(Micros(50_000)), None),
+        // Flow-heavy: 300 flows scattered over the stream, far past a
+        // 40-flow window budget, so every sliding merge evicts.
+        let many: Vec<PacketRecord> = (0..900u64)
+            .map(|i| {
+                let flow = (i * 7_919 % 300) as u32 + 1;
+                PacketRecord::new(Micros(i * 700), 40 + (i % 3) as u16 * 256)
+                    .with_flow(flow, i < 300)
+            })
+            .collect();
+        for (pkts, window, slide, budget) in [
+            (&few, WindowSpec::Count(120), None, None),
+            (
+                &few,
+                WindowSpec::Count(120),
+                Some(WindowSpec::Count(30)),
+                None,
+            ),
+            (&few, WindowSpec::Time(Micros(50_000)), None, None),
+            (
+                &many,
+                WindowSpec::Count(300),
+                Some(WindowSpec::Count(100)),
+                Some(40),
+            ),
         ] {
-            let mut per_packet = windower(Target::Interarrival, window, slide);
+            let make = || {
+                let w = windower(Target::Interarrival, window, slide);
+                match budget {
+                    Some(b) => w.with_flow_budget(b),
+                    None => w,
+                }
+            };
+            let mut per_packet = make();
             let mut reference = Vec::new();
-            for p in &pkts {
+            let mut live = Vec::new();
+            for p in pkts {
                 reference.extend(per_packet.offer(p));
+                live.push(per_packet.live_flows());
             }
             reference.extend(per_packet.finish());
+            if budget.is_some() {
+                assert!(reference.iter().all(|w| w.evicted_flows > 0));
+            }
 
-            for chunk in [1usize, 17, 120, 500] {
-                let mut sliced = windower(Target::Interarrival, window, slide);
+            for chunk in [1usize, 17, 120, FLOW_RUN - 1, FLOW_RUN, FLOW_RUN + 1, 500] {
+                let mut sliced = make();
                 let mut got = Vec::new();
+                let mut offered = 0;
                 for c in pkts.chunks(chunk) {
                     got.extend(sliced.offer_slice(c));
+                    offered += c.len();
+                    assert_eq!(
+                        sliced.live_flows(),
+                        live[offered - 1],
+                        "chunk {chunk}, after {offered} packets"
+                    );
                 }
                 got.extend(sliced.finish());
                 assert_eq!(got.len(), reference.len(), "chunk {chunk}");
@@ -846,8 +940,13 @@ mod tests {
                     assert_eq!(a.population, b.population, "chunk {chunk}");
                     assert_eq!(a.sample, b.sample, "chunk {chunk}");
                     assert_eq!(
-                        (a.packets, a.selected, a.flows, a.syn_flows),
-                        (b.packets, b.selected, b.flows, b.syn_flows),
+                        (a.packets, a.selected, a.flows, a.syn_flows, a.evicted_flows),
+                        (b.packets, b.selected, b.flows, b.syn_flows, b.evicted_flows),
+                        "chunk {chunk}"
+                    );
+                    assert_eq!(
+                        (&a.sampled_sizes, a.sampled_syn_flows),
+                        (&b.sampled_sizes, b.sampled_syn_flows),
                         "chunk {chunk}"
                     );
                 }

@@ -410,6 +410,35 @@ proptest! {
     }
 
     #[test]
+    fn flow_table_offer_slice_equals_offer_fold_under_any_chunking(
+        pkts in packet_stream(200),
+        cap_raw in 0usize..=64,
+        chunks in prop::collection::vec(1usize..=50, 1..16),
+    ) {
+        // 0 stands for an unbounded table.
+        let cap = if cap_raw == 0 { usize::MAX } else { cap_raw };
+        let mut folded = FlowTable::with_capacity(cap);
+        for p in &pkts {
+            folded.offer(p);
+        }
+        let mut sliced = FlowTable::with_capacity(cap);
+        let mut rest: &[PacketRecord] = &pkts;
+        for &len in chunks.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (run, tail) = rest.split_at(len.min(rest.len()));
+            sliced.offer_slice(run);
+            rest = tail;
+        }
+        let snapshot = |t: &FlowTable| t.flows().map(|(k, r)| (*k, *r)).collect::<Vec<_>>();
+        prop_assert_eq!(snapshot(&sliced), snapshot(&folded));
+        prop_assert_eq!(sliced.offered(), folded.offered());
+        prop_assert_eq!(sliced.evicted_flows(), folded.evicted_flows());
+        prop_assert_eq!(sliced.evicted_packets(), folded.evicted_packets());
+    }
+
+    #[test]
     fn flow_table_merge_of_halves_equals_one_pass(
         pkts in packet_stream(200), split_raw in 0usize..200
     ) {
