@@ -70,6 +70,11 @@ grep -q "findings: 0" "$tmpdir/fuzz.1.out"
 # change in what the readers accept, reject or recover moves it. The
 # larger seed-4099 campaign (~2 s) covers rarer mutation stacks.
 grep -qxF "mutation campaign: seed 1993, 10376 cases, digest 7f0b0ee523036238" "$tmpdir/fuzz.1.out"
+# Pin the state machines' semantics the same way: the state-fuzz digest
+# folds every arm's outcome (samplers, flow table, collector and the
+# rest), so a change in what a flow table keeps, evicts or counts moves
+# it.
+grep -qxF "state fuzz: seed 1993, 1000 cases, 121415 offers, digest 8a0386d2298e06ff" "$tmpdir/fuzz.1.out"
 "$bin" fuzz --seed 4099 --mutations 100000 > "$tmpdir/fuzz.4099.out"
 grep -q "findings: 0" "$tmpdir/fuzz.4099.out"
 grep -qxF "mutation campaign: seed 4099, 100376 cases, digest 7f17c14b8f8b9273" "$tmpdir/fuzz.4099.out"

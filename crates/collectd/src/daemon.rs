@@ -55,12 +55,16 @@ use streamkit::{StreamMethod, WindowPayload, WindowSpec, Windower};
 /// windower's dispatch.
 const CHUNK: usize = 8_192;
 
-/// Estimated resident bytes per live flow (hash entry + stats) — the
-/// accounting behind `collectd_shard_rss_kb`. Windower flow tables never
-/// hold an LRU index: buckets aggregate unbounded and the window merge
-/// truncates without building one. Real RSS is process-global; this
-/// model attributes the dominant per-shard state (flow tables) so the
-/// per-shard budget rule has a shard-local signal.
+/// Estimated resident bytes per live flow — the accounting behind
+/// `collectd_shard_rss_kb`. A model, and now a high one: a flow is one
+/// 32-byte `FlowTable` slot at up to three-quarters load, measured at
+/// about 56 heap bytes per flow on the soak shape. Kept at 96 until the
+/// gauge is measured rather than modeled, since the ci.sh soak bound is
+/// derived from it. Windower flow tables never hold an LRU index:
+/// buckets aggregate unbounded and the window merge truncates without
+/// building one. Real RSS is process-global; this model attributes the
+/// dominant per-shard state (flow tables) so the per-shard budget rule
+/// has a shard-local signal.
 const FLOW_STATE_BYTES: u64 = 96;
 
 /// What feeds each lane.

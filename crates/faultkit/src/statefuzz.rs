@@ -547,13 +547,15 @@ impl Fuzzer {
     /// Drive the flow table through a hostile packet stream — the
     /// adversarial timestamps of [`hostile_packets`] decorated with
     /// adversarial flow identities — streamed, batched, as a merge of
-    /// unbounded halves, as two `offer_slice` runs, and as an unbounded
-    /// half truncated to the capacity before the rest is offered.
+    /// unbounded halves (in both orders), as a copy merged into a fresh
+    /// table, as two `offer_slice` runs, and as an unbounded half
+    /// truncated to the capacity before the rest is offered.
     /// Contracts: no panic, the capacity bound holds, packet
     /// conservation (live + evicted == offered), batch aggregation is
-    /// bit-identical to streaming, merging two unbounded halves equals
-    /// one unbounded pass, and the sliced and truncated tables match a
-    /// brute-force LRU model flow for flow.
+    /// bit-identical to streaming, merging two unbounded halves in
+    /// either order equals one unbounded pass, so does merging that
+    /// pass into an empty table, and the sliced and truncated tables
+    /// match a brute-force LRU model flow for flow.
     fn fuzz_flow_table(&mut self, rng: &mut StdRng) {
         let cap = rng.random_range(1usize..=64);
         let packets = hostile_flow_packets(rng);
@@ -570,6 +572,11 @@ impl Fuzzer {
             merged.merge(&FlowTable::from_packets(usize::MAX, &packets[..mid]));
             merged.merge(&FlowTable::from_packets(usize::MAX, &packets[mid..]));
             let whole = FlowTable::from_packets(usize::MAX, &packets);
+            let mut reversed = FlowTable::unbounded();
+            reversed.merge(&FlowTable::from_packets(usize::MAX, &packets[mid..]));
+            reversed.merge(&FlowTable::from_packets(usize::MAX, &packets[..mid]));
+            let mut copied = FlowTable::unbounded();
+            copied.merge(&whole);
             let mut sliced = FlowTable::with_capacity(cap);
             sliced.offer_slice(&packets[..mid]);
             sliced.offer_slice(&packets[mid..]);
@@ -579,7 +586,12 @@ impl Fuzzer {
             for p in &packets[mid..] {
                 truncated.offer(p);
             }
-            (streamed, batch, merged, whole, sliced, truncated)
+            let merges = [
+                ("halves", merged),
+                ("reversed halves", reversed),
+                ("copy", copied),
+            ];
+            (streamed, batch, merges, whole, sliced, truncated)
         }));
         match outcome {
             Err(panic) => {
@@ -590,7 +602,7 @@ impl Fuzzer {
                 );
                 self.record("flow_table", "panic");
             }
-            Ok((streamed, batch, merged, whole, sliced, truncated)) => {
+            Ok((streamed, batch, merges, whole, sliced, truncated)) => {
                 if streamed.len() > cap {
                     self.violation(
                         "flow_table",
@@ -622,16 +634,18 @@ impl Fuzzer {
                         ),
                     );
                 }
-                let snapshot = |t: &FlowTable| t.flows().map(|(k, r)| (*k, *r)).collect::<Vec<_>>();
-                if snapshot(&merged) != snapshot(&whole) || merged.offered() != whole.offered() {
-                    self.violation(
-                        "flow_table",
-                        format!(
-                            "merge of halves diverged from one pass: {} vs {} flows",
-                            merged.len(),
-                            whole.len()
-                        ),
-                    );
+                let snapshot = |t: &FlowTable| t.flows().collect::<Vec<_>>();
+                for (what, merged) in &merges {
+                    if snapshot(merged) != snapshot(&whole) || merged.offered() != whole.offered() {
+                        self.violation(
+                            "flow_table",
+                            format!(
+                                "merge of {what} diverged from one pass: {} vs {} flows",
+                                merged.len(),
+                                whole.len()
+                            ),
+                        );
+                    }
                 }
                 let mut model = LruModel::new(cap);
                 packets.iter().for_each(|p| model.offer(p));
@@ -1237,7 +1251,7 @@ fn hostile_flow_packets(rng: &mut StdRng) -> Vec<PacketRecord> {
 }
 
 /// Brute-force LRU flow table: a flat list scanned for every victim,
-/// with none of [`FlowTable`]'s hash map, order index or stale-index
+/// with none of [`FlowTable`]'s slots, order index or stale-index
 /// rebuild — the reference its offers and truncations must match.
 struct LruModel {
     cap: usize,
@@ -1260,9 +1274,7 @@ impl LruModel {
         let key = FlowKey::of(p);
         if let Some((_, r)) = self.flows.iter_mut().find(|(k, _)| *k == key) {
             r.packets += 1;
-            r.bytes += u64::from(p.size);
             r.syn_seen |= p.syn();
-            r.first_ts = r.first_ts.min(p.timestamp);
             r.last_ts = r.last_ts.max(p.timestamp);
             return;
         }
@@ -1273,9 +1285,7 @@ impl LruModel {
             key,
             FlowRecord {
                 packets: 1,
-                bytes: u64::from(p.size),
                 syn_seen: p.syn(),
-                first_ts: p.timestamp,
                 last_ts: p.timestamp,
             },
         ));
