@@ -78,6 +78,7 @@ grep -qxF "state fuzz: seed 1993, 1000 cases, 121415 offers, digest 8a0386d2298e
 "$bin" fuzz --seed 4099 --mutations 100000 > "$tmpdir/fuzz.4099.out"
 grep -q "findings: 0" "$tmpdir/fuzz.4099.out"
 grep -qxF "mutation campaign: seed 4099, 100376 cases, digest 7f17c14b8f8b9273" "$tmpdir/fuzz.4099.out"
+grep -qxF "state fuzz: seed 4099, 1000 cases, 120717 offers, digest c1530d0ff73e1514" "$tmpdir/fuzz.4099.out"
 # The lossy ingest path salvages a mid-record truncation the strict
 # reader refuses.
 head -c "$(( $(stat -c %s "$tmpdir/pop.pcap") - 7 ))" "$tmpdir/pop.pcap" > "$tmpdir/cut.pcap"

@@ -165,6 +165,16 @@ fn parse_interval(args: &Args) -> Result<usize, CmdError> {
     Ok(k)
 }
 
+/// `--replications` (default 5). Zero replications would score
+/// nothing, so every replicating command refuses it as a usage error.
+fn parse_replications(args: &Args) -> Result<u32, CmdError> {
+    let reps: u32 = args.opt_num("replications", 5)?;
+    if reps == 0 {
+        return Err(CmdError::usage("--replications must be at least 1"));
+    }
+    Ok(reps)
+}
+
 /// `--method`/`--interval` as a packet-driven method spec. Names the
 /// stream-only reservoir too, so every command lists the same methods.
 fn parse_method(args: &Args) -> Result<MethodSpec, CmdError> {
@@ -373,7 +383,7 @@ pub fn score(args: &Args) -> Result<String, CmdError> {
     }
     let target = parse_target(args.opt_or("target", "packet-size"))?;
     let seed: u64 = args.opt_num("seed", 1993)?;
-    let reps: u32 = args.opt_num("replications", 5)?;
+    let reps = parse_replications(args)?;
     let spec = parse_method(args)?;
     let exp = Experiment::new(trace.packets(), target);
     let result = exp.run(spec, reps, seed);
@@ -432,7 +442,7 @@ pub fn sweep(args: &Args) -> Result<String, CmdError> {
         return Err(CmdError::data("trace is empty"));
     }
     let target = parse_target(args.opt_or("target", "packet-size"))?;
-    let reps: u32 = args.opt_num("replications", 5)?;
+    let reps = parse_replications(args)?;
     let seed: u64 = args.opt_num("seed", 1993)?;
     let max_k: usize = args.opt_num("max-interval", 4096)?;
     let exp = Experiment::new(trace.packets(), target);
@@ -512,10 +522,7 @@ pub fn flows(args: &Args) -> Result<String, CmdError> {
         }
     }
     let k = parse_interval(args)? as u64;
-    let reps: u32 = args.opt_num("replications", 5)?;
-    if reps == 0 {
-        return Err(CmdError::usage("--replications must be at least 1"));
-    }
+    let reps = parse_replications(args)?;
     let exp = FlowExperiment::new(trace.packets());
     let cells: Vec<(FlowEstimator, u64)> =
         FlowEstimator::all().into_iter().map(|e| (e, k)).collect();

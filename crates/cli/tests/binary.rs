@@ -357,6 +357,25 @@ fn degenerate_interval_exits_64_through_the_binary() {
 }
 
 #[test]
+fn zero_replications_exits_64_for_every_replicating_command() {
+    let pop = tmp("zero_reps");
+    let out = netsample(&["synth", &pop, "--seconds", "5"]);
+    assert!(out.status.success());
+    // Zero replications used to print a score header with no score
+    // (`score`) or a table of `empty` cells (`sweep`) and exit 0.
+    for cmd in ["score", "sweep", "flows"] {
+        let out = netsample(&[cmd, &pop, "--replications", "0"]);
+        assert_eq!(out.status.code(), Some(64), "{cmd}");
+        assert!(out.stdout.is_empty(), "{cmd} printed a result");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("--replications must be at least 1"),
+            "{cmd}"
+        );
+    }
+    std::fs::remove_file(&pop).ok();
+}
+
+#[test]
 fn lossy_analyze_and_fuzz_through_the_binary() {
     let pop = tmp("lossy");
     let out = netsample(&["synth", &pop, "--seconds", "10"]);

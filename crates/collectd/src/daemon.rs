@@ -60,9 +60,9 @@ const CHUNK: usize = 8_192;
 /// 32-byte `FlowTable` slot at up to three-quarters load, measured at
 /// about 56 heap bytes per flow on the soak shape. Kept at 96 until the
 /// gauge is measured rather than modeled, since the ci.sh soak bound is
-/// derived from it. Windower flow tables never hold an LRU index:
-/// buckets aggregate unbounded and the window merge truncates without
-/// building one. Real RSS is process-global; this model attributes the
+/// derived from it. A flow table holds nothing beside its slots:
+/// buckets aggregate unbounded and the window merge truncates to the
+/// budget once. Real RSS is process-global; this model attributes the
 /// dominant per-shard state (flow tables) so the per-shard budget rule
 /// has a shard-local signal.
 const FLOW_STATE_BYTES: u64 = 96;

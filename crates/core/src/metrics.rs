@@ -72,7 +72,8 @@ impl DisparityReport {
 }
 
 /// Compute the full disparity suite between a population histogram and a
-/// sample histogram over the *same* bins.
+/// sample histogram over the *same* bins. φ is [`obskit::paired_phi`]
+/// of the two histograms' counts.
 ///
 /// Returns `None` when the sample is empty (no metrics are defined) —
 /// which legitimately happens at extreme sampling granularities over
@@ -92,16 +93,12 @@ pub fn disparity(population: &Histogram, sample: &Histogram) -> Option<Disparity
         population.total() > 0,
         "population histogram must be nonempty"
     );
+    let phi = obskit::paired_phi(population.counts(), sample.counts())?;
     let n = sample.total();
-    if n == 0 {
-        return None;
-    }
     let big_n = population.total();
     let fraction = n as f64 / big_n as f64;
-    let scale = n as f64 / big_n as f64;
 
     let mut chi2 = 0.0;
-    let mut chi2_paired = 0.0;
     let mut x2 = 0.0;
     let mut cost = 0.0;
     let mut used_bins = 0u32;
@@ -110,21 +107,12 @@ pub fn disparity(population: &Histogram, sample: &Histogram) -> Option<Disparity
     for i in 0..bins {
         let pop = population.counts()[i] as f64;
         let obs = sample.counts()[i] as f64;
-        let expected = pop * scale;
+        let expected = pop * fraction;
         let d = obs - expected;
         if expected > 0.0 {
             chi2 += d * d / expected;
             x2 += d * d / (expected * expected);
             used_bins += 1;
-        }
-        // The paired chi-square keeps every bin where either side has
-        // mass: a sample observation in a bin the population says is
-        // impossible contributes O (not 0/0 or ∞), and a near-empty
-        // expected bin contributes at most E + O — which is what keeps
-        // φ finite and ≤ √2.
-        let both = expected + obs;
-        if both > 0.0 {
-            chi2_paired += d * d / both;
         }
         // Cost compares the provider's scaled-up estimate against truth.
         cost += (obs / fraction - pop).abs();
@@ -146,8 +134,7 @@ pub fn disparity(population: &Histogram, sample: &Histogram) -> Option<Disparity
         relative_cost: cost * fraction,
         x2,
         k_avg: (x2 / bins as f64).sqrt(),
-        // Fleiss: φ² = χ²ₚ/n with χ²ₚ ≤ Σ(Eᵢ+Oᵢ) = 2n, so φ ≤ √2.
-        phi: (chi2_paired / n as f64).sqrt(),
+        phi,
         sample_size: n,
         fraction,
     })

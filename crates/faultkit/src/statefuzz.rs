@@ -546,16 +546,14 @@ impl Fuzzer {
 
     /// Drive the flow table through a hostile packet stream — the
     /// adversarial timestamps of [`hostile_packets`] decorated with
-    /// adversarial flow identities — streamed, batched, as a merge of
-    /// unbounded halves (in both orders), as a copy merged into a fresh
-    /// table, as two `offer_slice` runs, and as an unbounded half
-    /// truncated to the capacity before the rest is offered.
-    /// Contracts: no panic, the capacity bound holds, packet
-    /// conservation (live + evicted == offered), batch aggregation is
-    /// bit-identical to streaming, merging two unbounded halves in
-    /// either order equals one unbounded pass, so does merging that
-    /// pass into an empty table, and the sliced and truncated tables
-    /// match a brute-force LRU model flow for flow.
+    /// adversarial flow identities — in one batch, one offer at a time,
+    /// as two `offer_slice` runs, as a merge of halves (in both orders),
+    /// as a copy merged into a fresh table, truncated to the capacity,
+    /// and as a half truncated to the capacity before the rest is
+    /// offered. Contracts: no panic, packet conservation (live +
+    /// evicted == offered), every offer and merge path equals the one
+    /// batch pass, and both truncated tables match a brute-force LRU
+    /// model flow for flow.
     fn fuzz_flow_table(&mut self, rng: &mut StdRng) {
         let cap = rng.random_range(1usize..=64);
         let packets = hostile_flow_packets(rng);
@@ -563,35 +561,37 @@ impl Fuzzer {
         let offered = packets.len() as u64;
         let mid = packets.len() / 2;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut streamed = FlowTable::with_capacity(cap);
+            let whole = FlowTable::from_packets(&packets);
+            let mut streamed = FlowTable::unbounded();
             for p in &packets {
                 streamed.offer(p);
             }
-            let batch = FlowTable::from_packets(cap, &packets);
-            let mut merged = FlowTable::unbounded();
-            merged.merge(&FlowTable::from_packets(usize::MAX, &packets[..mid]));
-            merged.merge(&FlowTable::from_packets(usize::MAX, &packets[mid..]));
-            let whole = FlowTable::from_packets(usize::MAX, &packets);
-            let mut reversed = FlowTable::unbounded();
-            reversed.merge(&FlowTable::from_packets(usize::MAX, &packets[mid..]));
-            reversed.merge(&FlowTable::from_packets(usize::MAX, &packets[..mid]));
-            let mut copied = FlowTable::unbounded();
-            copied.merge(&whole);
-            let mut sliced = FlowTable::with_capacity(cap);
+            let mut sliced = FlowTable::unbounded();
             sliced.offer_slice(&packets[..mid]);
             sliced.offer_slice(&packets[mid..]);
-            let mut truncated = FlowTable::unbounded();
-            truncated.offer_slice(&packets[..mid]);
+            let mut merged = FlowTable::unbounded();
+            merged.merge(&FlowTable::from_packets(&packets[..mid]));
+            merged.merge(&FlowTable::from_packets(&packets[mid..]));
+            let mut reversed = FlowTable::unbounded();
+            reversed.merge(&FlowTable::from_packets(&packets[mid..]));
+            reversed.merge(&FlowTable::from_packets(&packets[..mid]));
+            let mut copied = FlowTable::unbounded();
+            copied.merge(&whole);
+            let mut cut = whole.clone();
+            cut.truncate_lru(cap);
+            let mut truncated = FlowTable::from_packets(&packets[..mid]);
             truncated.truncate_lru(cap);
             for p in &packets[mid..] {
                 truncated.offer(p);
             }
-            let merges = [
-                ("halves", merged),
-                ("reversed halves", reversed),
-                ("copy", copied),
+            let paths = [
+                ("per-packet offers", streamed),
+                ("offer_slice halves", sliced),
+                ("merge of halves", merged),
+                ("merge of reversed halves", reversed),
+                ("merge of a copy", copied),
             ];
-            (streamed, batch, merges, whole, sliced, truncated)
+            (whole, paths, cut, truncated)
         }));
         match outcome {
             Err(panic) => {
@@ -602,59 +602,47 @@ impl Fuzzer {
                 );
                 self.record("flow_table", "panic");
             }
-            Ok((streamed, batch, merges, whole, sliced, truncated)) => {
-                if streamed.len() > cap {
-                    self.violation(
-                        "flow_table",
-                        format!("holds {} flows with capacity {cap}", streamed.len()),
-                    );
-                }
-                if streamed.offered() != offered
-                    || streamed.live_packets() + streamed.evicted_packets() != offered
-                {
-                    self.violation(
-                        "flow_table",
-                        format!(
-                            "lost packets: {} live + {} evicted of {offered} offered",
-                            streamed.live_packets(),
-                            streamed.evicted_packets()
-                        ),
-                    );
-                }
-                if streamed.sizes() != batch.sizes()
-                    || streamed.evicted_flows() != batch.evicted_flows()
-                    || streamed.syn_flows() != batch.syn_flows()
-                {
-                    self.violation(
-                        "flow_table",
-                        format!(
-                            "batch and stream diverged: {} vs {} flows",
-                            batch.len(),
-                            streamed.len()
-                        ),
-                    );
-                }
-                let snapshot = |t: &FlowTable| t.flows().collect::<Vec<_>>();
-                for (what, merged) in &merges {
-                    if snapshot(merged) != snapshot(&whole) || merged.offered() != whole.offered() {
+            Ok((whole, paths, cut, truncated)) => {
+                for table in [&cut, &truncated] {
+                    if table.offered() != offered
+                        || table.live_packets() + table.evicted_packets() != offered
+                    {
                         self.violation(
                             "flow_table",
                             format!(
-                                "merge of {what} diverged from one pass: {} vs {} flows",
-                                merged.len(),
+                                "lost packets: {} live + {} evicted of {offered} offered",
+                                table.live_packets(),
+                                table.evicted_packets()
+                            ),
+                        );
+                    }
+                }
+                let snapshot = |t: &FlowTable| t.flows().collect::<Vec<_>>();
+                for (what, table) in &paths {
+                    if snapshot(table) != snapshot(&whole) || table.offered() != whole.offered() {
+                        self.violation(
+                            "flow_table",
+                            format!(
+                                "{what} diverged from one batch pass: {} vs {} flows",
+                                table.len(),
                                 whole.len()
                             ),
                         );
                     }
                 }
+                // The bounded model feeds only the digest: its offers
+                // evict as they go, which no table path does.
                 let mut model = LruModel::new(cap);
                 packets.iter().for_each(|p| model.offer(p));
+                let mut model_cut = LruModel::new(usize::MAX);
+                packets.iter().for_each(|p| model_cut.offer(p));
+                model_cut.truncate(cap);
                 let mut model_truncated = LruModel::new(usize::MAX);
                 packets[..mid].iter().for_each(|p| model_truncated.offer(p));
                 model_truncated.truncate(cap);
                 packets[mid..].iter().for_each(|p| model_truncated.offer(p));
                 for (what, table, model) in [
-                    ("offer_slice halves", &sliced, &model),
+                    ("truncate_lru", &cut, &model_cut),
                     ("truncate_lru then offer", &truncated, &model_truncated),
                 ] {
                     if snapshot(table) != model.snapshot()
@@ -675,8 +663,8 @@ impl Fuzzer {
                     }
                 }
                 self.record("flow_table", "ok");
-                self.digest.update_u64(streamed.len() as u64);
-                self.digest.update_u64(streamed.evicted_packets());
+                self.digest.update_u64(model.flows.len() as u64);
+                self.digest.update_u64(model.evicted_packets);
                 self.digest.update_u64(whole.syn_flows());
             }
         }
@@ -1251,8 +1239,9 @@ fn hostile_flow_packets(rng: &mut StdRng) -> Vec<PacketRecord> {
 }
 
 /// Brute-force LRU flow table: a flat list scanned for every victim,
-/// with none of [`FlowTable`]'s slots, order index or stale-index
-/// rebuild — the reference its offers and truncations must match.
+/// with none of [`FlowTable`]'s slots or probe logic — the reference
+/// its truncations must match. A truncate keeps the model's own cap,
+/// so a model made with `usize::MAX` reopens unbounded like the table.
 struct LruModel {
     cap: usize,
     flows: Vec<(FlowKey, FlowRecord)>,
@@ -1302,7 +1291,6 @@ impl LruModel {
     }
 
     fn truncate(&mut self, cap: usize) {
-        self.cap = cap;
         while self.flows.len() > cap {
             self.evict_oldest();
         }

@@ -1,4 +1,4 @@
-//! Bounded-memory flow aggregation.
+//! Flow aggregation.
 //!
 //! A [`FlowTable`] groups packets into flows — by synthetic flow id
 //! when one is present, by 5-tuple otherwise — and accumulates per-flow
@@ -16,10 +16,11 @@
 //!   returning, and batch construction is defined as the left fold of
 //!   [`FlowTable::offer`], so batch and streaming aggregation are
 //!   bit-identical.
-//! * **Bounded memory** — a capacity-limited table evicts the least
-//!   -recently-updated flow (smallest key on ties) when a new flow
-//!   would exceed the cap, counting what it dropped; surviving flows
-//!   are never corrupted by an eviction.
+//! * **A one-shot bound** — offers and merges never evict. A caller
+//!   that needs a flow budget applies it once, with
+//!   [`FlowTable::truncate_lru`]: the least-recently-updated flows
+//!   (smallest key on ties) go, counted, and the survivors are never
+//!   corrupted by the cut.
 //!
 //! # Storage
 //!
@@ -38,35 +39,27 @@
 //! * the full 64-bit last timestamp (hostile captures carry
 //!   `u64::MAX`, so no bit is stolen from it).
 //!
-//! Deletion — LRU eviction and [`FlowTable::truncate_lru`] — shifts the
-//! rest of the probe run back over the hole, so there are no tombstones
-//! and lookups never lengthen with churn.
+//! Deletion ([`FlowTable::truncate_lru`]) shifts the rest of the probe
+//! run back over the hole, so there are no tombstones and lookups never
+//! lengthen with churn.
 //!
-//! An unbounded [`FlowTable::merge`] reserves room for both tables
-//! before it folds. The other table's slots are read in hash order, and
-//! inserting a long hash-ordered run into a smaller table that grows
-//! midway piles the keys into a few long probe runs (linear probing's
-//! primary clustering); with the room reserved up front, the run lands
-//! spread at the table's final load.
+//! [`FlowTable::merge`] reserves room for both tables before it folds.
+//! The other table's slots are read in hash order, and inserting a long
+//! hash-ordered run into a smaller table that grows midway piles the
+//! keys into a few long probe runs (linear probing's primary
+//! clustering); with the room reserved up front, the run lands spread
+//! at the table's final load.
 //!
 //! # Hot path
 //!
-//! The hot path is `O(1)` per packet: an unbounded table is one probe
-//! run per offer (no eviction index at all), which is what lets the
-//! streaming windower aggregate flows per bucket at line rate — in runs,
-//! via [`FlowTable::offer_slice`] — and enforce its budget once per
-//! window via [`FlowTable::truncate_lru`].
-//!
-//! A bounded table keeps an LRU order index beside the slots. Offers to
-//! a table created bounded maintain it as they go; [`FlowTable::truncate_lru`]
-//! only marks it stale, and the next bounded [`FlowTable::offer`] or
-//! [`FlowTable::merge`] rebuilds it. A table truncated and then only
-//! read — the windower's case — never builds the index at all.
+//! The hot path is `O(1)` per packet: one probe run per offer, which is
+//! what lets the streaming windower aggregate flows per bucket at line
+//! rate — in runs, via [`FlowTable::offer_slice`] — and enforce its
+//! budget once per window via [`FlowTable::truncate_lru`].
 
 use crate::histogram::{BinSpec, Histogram};
 use crate::packet::{PacketRecord, Protocol};
 use crate::time::Micros;
-use std::collections::BTreeSet;
 
 /// Flow identity: synthetic id when assigned, 5-tuple otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -275,7 +268,7 @@ thread_local! {
     static PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Bounded, deterministic flow aggregator. See the module docs.
+/// Deterministic flow aggregator. See the module docs.
 #[derive(Debug, Clone)]
 pub struct FlowTable {
     /// Open-addressed slots: empty, or a power of two long and at most
@@ -283,46 +276,23 @@ pub struct FlowTable {
     slots: Vec<Slot>,
     /// Occupied slots: the live flows.
     len: usize,
-    /// Eviction index mirroring the slots: one `(last_ts, packed key)`
-    /// entry per live flow, so the LRU victim is `O(log n)` to find
-    /// instead of a full scan — at capacity every new flow evicts, and
-    /// a linear scan there turns streaming aggregation quadratic.
-    /// Unbounded tables never evict, so they skip the index entirely.
-    order: BTreeSet<(u64, [u64; 2])>,
-    /// Set by [`FlowTable::truncate_lru`] on a bounded table: `order` is
-    /// empty and must be rebuilt before the next bounded offer or merge.
-    order_stale: bool,
-    cap: usize,
     evicted_flows: u64,
     evicted_packets: u64,
     offered: u64,
 }
 
 impl FlowTable {
-    /// A table evicting past `cap` live flows.
-    ///
-    /// # Panics
-    /// Panics when `cap == 0` — a table that can hold nothing cannot
-    /// aggregate anything.
+    /// An empty table. It grows with its flows; only
+    /// [`FlowTable::truncate_lru`] removes any.
     #[must_use]
-    pub fn with_capacity(cap: usize) -> FlowTable {
-        assert!(cap > 0, "flow table capacity must be positive");
+    pub fn unbounded() -> FlowTable {
         FlowTable {
             slots: Vec::new(),
             len: 0,
-            order: BTreeSet::new(),
-            order_stale: false,
-            cap,
             evicted_flows: 0,
             evicted_packets: 0,
             offered: 0,
         }
-    }
-
-    /// An effectively unbounded table (capacity `usize::MAX`).
-    #[must_use]
-    pub fn unbounded() -> FlowTable {
-        FlowTable::with_capacity(usize::MAX)
     }
 
     /// Pre-size the storage for about `flows` live flows, so a burst of
@@ -342,38 +312,25 @@ impl FlowTable {
     /// [`FlowTable::offer`], so it is bit-identical to streaming the
     /// same packets one at a time.
     #[must_use]
-    pub fn from_packets(cap: usize, packets: &[PacketRecord]) -> FlowTable {
-        let mut t = FlowTable::with_capacity(cap);
+    pub fn from_packets(packets: &[PacketRecord]) -> FlowTable {
+        let mut t = FlowTable::unbounded();
         t.offer_slice(packets);
         t
     }
 
-    /// Offer one packet. A packet for a new flow when the table is at
-    /// capacity first evicts the least-recently-updated flow (smallest
-    /// key on ties).
+    /// Offer one packet.
     pub fn offer(&mut self, p: &PacketRecord) {
         self.offer_slice(std::slice::from_ref(p));
     }
 
     /// Offer a run of packets in order: exactly the left fold of
-    /// [`FlowTable::offer`]. On an unbounded table it is one tight loop
-    /// of probes and updates with no eviction or index work, so the
-    /// lookups of consecutive packets can overlap their cache misses.
+    /// [`FlowTable::offer`]. It is one tight loop of probes and updates,
+    /// so the lookups of consecutive packets can overlap their cache
+    /// misses.
     pub fn offer_slice(&mut self, pkts: &[PacketRecord]) {
         self.offered += pkts.len() as u64;
-        if self.cap == usize::MAX {
-            for p in pkts {
-                self.upsert(&Slot::of(p));
-            }
-            return;
-        }
-        self.refresh_order();
         for p in pkts {
-            let flow = Slot::of(p);
-            if self.len >= self.cap && self.probe(flow.key).is_err() {
-                self.evict_one();
-            }
-            self.fold(&flow);
+            self.upsert(&Slot::of(p));
         }
     }
 
@@ -410,17 +367,13 @@ impl FlowTable {
 
     /// Fold `flow` into its live flow by [`Slot::absorb`], or insert it
     /// as a new flow (growing first if the table is at its load
-    /// limit). Never evicts. Returns the flow's previous last
-    /// timestamp, or `None` for a new flow.
-    #[inline]
-    fn upsert(&mut self, flow: &Slot) -> Option<u64> {
+    /// limit). Forced inline: left to the heuristic, the offer loop
+    /// called it out of line per packet, and `stream-capture` lost
+    /// about 5% end to end.
+    #[inline(always)]
+    fn upsert(&mut self, flow: &Slot) {
         match self.probe(flow.key) {
-            Ok(i) => {
-                let s = &mut self.slots[i];
-                let last = s.last_ts;
-                s.absorb(flow);
-                Some(last)
-            }
+            Ok(i) => self.slots[i].absorb(flow),
             Err(mut i) => {
                 if self.len >= max_load(self.slots.len()) {
                     self.resize((2 * self.slots.len()).max(MIN_SLOTS));
@@ -428,7 +381,6 @@ impl FlowTable {
                 }
                 self.slots[i] = *flow;
                 self.len += 1;
-                None
             }
         }
     }
@@ -475,101 +427,30 @@ impl FlowTable {
         removed
     }
 
-    /// Evict the live flow `key`, if any, counting it.
-    fn evict(&mut self, key: [u64; 2]) {
-        if let Ok(i) = self.probe(key) {
-            let s = self.remove_at(i);
-            self.evicted_flows += 1;
-            self.evicted_packets += s.packets();
-        }
-    }
-
-    /// Fold `flow` into a bounded table (no eviction) by
-    /// [`Slot::absorb`], keeping the LRU index in step. Shared by
-    /// bounded offers and merges.
-    fn fold(&mut self, flow: &Slot) {
-        match self.upsert(flow) {
-            None => {
-                self.order.insert((flow.last_ts, flow.key));
-            }
-            Some(last) if flow.last_ts > last => {
-                self.order.remove(&(last, flow.key));
-                self.order.insert((flow.last_ts, flow.key));
-            }
-            Some(_) => {}
-        }
-    }
-
-    /// Rebuild the LRU index if [`FlowTable::truncate_lru`] left it
-    /// stale; a no-op otherwise.
-    fn refresh_order(&mut self) {
-        if self.order_stale {
-            self.order = self.live().map(|s| (s.last_ts, s.key)).collect();
-            self.order_stale = false;
-        }
-    }
-
-    /// Evict the least-recently-updated flow; ties broken by smallest
-    /// key, so eviction is fully deterministic.
-    fn evict_one(&mut self) {
-        if let Some((_, key)) = self.order.pop_first() {
-            self.evict(key);
-        }
-    }
-
     /// Merge another table's flows into this one (last timestamps
-    /// widen, counters add, SYN ors). The merged table keeps *this*
-    /// table's capacity and may evict to respect it.
-    ///
-    /// A bounded merge processes `other`'s flows in key order so the
-    /// interleaving of insertions and evictions — and therefore the
-    /// surviving set — is deterministic. An unbounded merge never
-    /// evicts, so every per-flow update commutes and the flows are
-    /// folded in storage order directly, after reserving room for both
-    /// tables (see the module docs on primary clustering).
+    /// widen, counters add, SYN ors). Every per-flow update commutes,
+    /// so `other`'s flows are folded in storage order, after reserving
+    /// room for both tables (see the module docs on primary clustering).
     pub fn merge(&mut self, other: &FlowTable) {
-        if self.cap == usize::MAX {
-            self.reserve(self.len + other.len);
-            for s in other.live() {
-                self.upsert(s);
-            }
-        } else {
-            self.refresh_order();
-            let mut flows: Vec<Slot> = other.live().copied().collect();
-            flows.sort_unstable_by_key(|s| s.key);
-            for s in &flows {
-                if self.len >= self.cap && self.probe(s.key).is_err() {
-                    self.evict_one();
-                }
-                self.fold(s);
-            }
+        self.reserve(self.len + other.len);
+        for s in other.live() {
+            self.upsert(s);
         }
         self.evicted_flows += other.evicted_flows;
         self.evicted_packets += other.evicted_packets;
         self.offered += other.offered;
     }
 
-    /// Enforce a capacity bound in one shot: keep the `cap`
+    /// Apply a flow budget in one shot: keep the `cap`
     /// most-recently-updated flows (largest key on ties) and evict the
-    /// rest, counting them exactly like incremental eviction. The
-    /// table's capacity becomes `cap`, so later offers keep the bound.
-    ///
-    /// This is the windower's merge-time budget: buckets aggregate
-    /// unbounded (one probe run per packet), and the survivor set is
-    /// chosen once per window — `O(flows)` to select — instead of
-    /// maintaining an eviction index on every packet.
-    ///
-    /// The LRU index is not rebuilt here: a bounded result only marks it
-    /// stale, and the next [`FlowTable::offer`] or [`FlowTable::merge`]
-    /// rebuilds it before its first bounded step, so eviction after a
-    /// truncate is unchanged. A truncated table that is only read never
-    /// pays for the index.
+    /// rest, counting them. The survivor set is chosen in `O(flows)`.
+    /// The bound is not remembered: later offers and merges grow the
+    /// table again.
     ///
     /// # Panics
     /// Panics when `cap == 0`.
     pub fn truncate_lru(&mut self, cap: usize) {
         assert!(cap > 0, "flow table capacity must be positive");
-        self.cap = cap;
         if self.len > cap {
             let mut ranks: Vec<(u64, [u64; 2])> = self.live().map(|s| (s.last_ts, s.key)).collect();
             // Partition around the cap'th most-recent entry: everything
@@ -577,11 +458,11 @@ impl FlowTable {
             let cut = ranks.len() - cap;
             ranks.select_nth_unstable(cut - 1);
             for &(_, key) in &ranks[..cut] {
-                self.evict(key);
+                let i = self.probe(key).expect("a ranked flow is live");
+                self.evicted_packets += self.remove_at(i).packets();
             }
+            self.evicted_flows += cut as u64;
         }
-        self.order.clear();
-        self.order_stale = self.cap != usize::MAX;
     }
 
     /// Live flows.
@@ -602,13 +483,13 @@ impl FlowTable {
         self.offered
     }
 
-    /// Flows evicted by the capacity bound.
+    /// Flows evicted by [`FlowTable::truncate_lru`].
     #[must_use]
     pub fn evicted_flows(&self) -> u64 {
         self.evicted_flows
     }
 
-    /// Packets inside evicted flows at their eviction instants.
+    /// Packets held by evicted flows when they were evicted.
     #[must_use]
     pub fn evicted_packets(&self) -> u64 {
         self.evicted_packets
@@ -688,41 +569,16 @@ mod tests {
     }
 
     #[test]
-    fn eviction_is_lru_with_key_tiebreak_and_counts() {
-        let mut t = FlowTable::with_capacity(2);
-        t.offer(&pkt(0, 1, true));
-        t.offer(&pkt(5, 2, true));
-        t.offer(&pkt(5, 2, false));
-        // Flow 3 arrives at capacity: flow 1 (oldest last_ts) goes.
-        t.offer(&pkt(10, 3, true));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.evicted_flows(), 1);
-        assert_eq!(t.evicted_packets(), 1);
-        let keys: Vec<FlowKey> = t.flows().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![FlowKey::Id(2), FlowKey::Id(3)]);
-        // Survivors keep exact counts (no corruption by eviction).
-        assert_eq!(t.sizes(), vec![2, 1]);
-        // Equal last_ts: the smallest key is the victim.
-        let mut t = FlowTable::with_capacity(2);
-        t.offer(&pkt(7, 5, true));
-        t.offer(&pkt(7, 4, true));
-        t.offer(&pkt(9, 6, true));
-        let keys: Vec<FlowKey> = t.flows().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![FlowKey::Id(5), FlowKey::Id(6)]);
-    }
-
-    #[test]
     fn batch_is_fold_of_offer() {
         let pkts: Vec<PacketRecord> = (0..100)
             .map(|i| pkt(i, (i % 7) as u32 + 1, i < 7))
             .collect();
-        let batch = FlowTable::from_packets(3, &pkts);
-        let mut streamed = FlowTable::with_capacity(3);
+        let batch = FlowTable::from_packets(&pkts);
+        let mut streamed = FlowTable::unbounded();
         for p in &pkts {
             streamed.offer(p);
         }
         assert_eq!(batch.sizes(), streamed.sizes());
-        assert_eq!(batch.evicted_flows(), streamed.evicted_flows());
         assert_eq!(batch.offered(), streamed.offered());
     }
 
@@ -744,33 +600,21 @@ mod tests {
     }
 
     /// Brute-force LRU reference: a flat list scanned for every victim,
-    /// sharing none of the table's slots, index or stale-index rebuild.
+    /// sharing none of the table's slots or probe logic.
+    #[derive(Default)]
     struct Model {
-        cap: usize,
         flows: Vec<(FlowKey, FlowRecord)>,
         evicted_flows: u64,
         evicted_packets: u64,
     }
 
     impl Model {
-        fn new(cap: usize) -> Model {
-            Model {
-                cap,
-                flows: Vec::new(),
-                evicted_flows: 0,
-                evicted_packets: 0,
-            }
-        }
-
         fn fold(&mut self, key: FlowKey, rec: FlowRecord) {
             if let Some((_, r)) = self.flows.iter_mut().find(|(k, _)| *k == key) {
                 r.packets += rec.packets;
                 r.syn_seen |= rec.syn_seen;
                 r.last_ts = r.last_ts.max(rec.last_ts);
                 return;
-            }
-            if self.flows.len() >= self.cap {
-                self.evict_oldest();
             }
             self.flows.push((key, rec));
         }
@@ -794,7 +638,6 @@ mod tests {
         }
 
         fn truncate(&mut self, cap: usize) {
-            self.cap = cap;
             while self.flows.len() > cap {
                 self.evict_oldest();
             }
@@ -834,48 +677,33 @@ mod tests {
     }
 
     #[test]
-    fn offers_after_truncate_evict_like_a_brute_force_lru() {
+    fn offers_and_merges_after_truncate_match_a_reopened_model() {
+        // The truncate leaves holes filled by backward shifts; later
+        // offers and merges must still find every survivor, and the
+        // table grows past the old cap like the reopened model.
         for cap in [1, 3, 8, 20] {
             let pkts = scrambled(300, 40, cap as u64);
             let (head, tail) = pkts.split_at(150);
-            let mut t = FlowTable::from_packets(usize::MAX, head);
-            let mut m = Model::new(usize::MAX);
+            let (offered, merged) = tail.split_at(75);
+            let mut t = FlowTable::from_packets(head);
+            let mut m = Model::default();
             head.iter().for_each(|p| m.offer(p));
             t.truncate_lru(cap);
             m.truncate(cap);
-            assert_matches(&t, &m, "truncate");
-            for (i, p) in tail.iter().enumerate() {
+            assert_matches(&t, &m, &format!("cap {cap}, truncate"));
+            for (i, p) in offered.iter().enumerate() {
                 t.offer(p);
                 m.offer(p);
                 assert_matches(&t, &m, &format!("cap {cap}, offer {i}"));
             }
-            assert!(m.evicted_flows > 40, "cap {cap}: the tail must evict");
-        }
-    }
-
-    #[test]
-    fn merge_after_truncate_evicts_like_a_brute_force_lru() {
-        for cap in [1, 3, 8, 20] {
-            let pkts = scrambled(300, 40, 100 + cap as u64);
-            let (head, tail) = pkts.split_at(150);
-            let mut t = FlowTable::from_packets(usize::MAX, head);
-            let mut m = Model::new(usize::MAX);
-            head.iter().for_each(|p| m.offer(p));
-            t.truncate_lru(cap);
-            m.truncate(cap);
-            // A bounded merge folds the other table's flows in key order.
-            let other = FlowTable::from_packets(usize::MAX, tail);
+            let other = FlowTable::from_packets(merged);
             t.merge(&other);
             for (k, r) in snapshot(&other) {
                 m.fold(k, r);
             }
             assert_matches(&t, &m, &format!("cap {cap}, merge"));
-            // The index the merge rebuilt keeps serving later offers.
-            for p in &pkts[..50] {
-                t.offer(p);
-                m.offer(p);
-            }
-            assert_matches(&t, &m, &format!("cap {cap}, offers after merge"));
+            assert_eq!(t.offered(), 300);
+            assert!(t.len() > cap, "cap {cap}: the bound is not kept");
         }
     }
 
@@ -896,7 +724,7 @@ mod tests {
         // A big table's slots come out in hash order; folded into a
         // small table that grows midway, they would pile into long
         // probe runs. The merge reserves room first, so they do not.
-        let big = FlowTable::from_packets(usize::MAX, &distinct(1..100_001));
+        let big = FlowTable::from_packets(&distinct(1..100_001));
         let mut fresh = FlowTable::unbounded();
         let probes = probes_of(|| fresh.merge(&big));
         assert!(snapshot(&fresh) == snapshot(&big), "merge lost flows");
@@ -914,15 +742,12 @@ mod tests {
         let buckets: Vec<Vec<PacketRecord>> = std::iter::once(distinct(1..1_001))
             .chain((1..4u32).map(|i| distinct(i * 40_000..i * 40_000 + 60_000)))
             .collect();
-        let tables: Vec<FlowTable> = buckets
-            .iter()
-            .map(|b| FlowTable::from_packets(usize::MAX, b))
-            .collect();
+        let tables: Vec<FlowTable> = buckets.iter().map(|b| FlowTable::from_packets(b)).collect();
         let (front, later) = tables.split_first().unwrap();
         let mut window = front.clone();
         let probes = probes_of(|| later.iter().for_each(|b| window.merge(b)));
         let merged: usize = later.iter().map(FlowTable::len).sum();
-        let reference = FlowTable::from_packets(usize::MAX, &buckets.concat());
+        let reference = FlowTable::from_packets(&buckets.concat());
         assert!(
             snapshot(&window) == snapshot(&reference),
             "merge lost flows"
@@ -954,18 +779,14 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut t = FlowTable::from_packets(usize::MAX, &pkts);
-            let mut m = Model::new(usize::MAX);
+            let mut t = FlowTable::from_packets(&pkts);
+            let mut m = Model::default();
             pkts.iter().for_each(|p| m.offer(p));
             t.truncate_lru(cap);
             m.truncate(cap);
             assert_matches(&t, &m, "truncate");
             let syn = m.flows.iter().filter(|(_, r)| r.syn_seen).count() as u64;
             proptest::prop_assert_eq!(t.syn_flows(), syn);
-            let bounded = FlowTable::from_packets(cap, &pkts);
-            let mut m = Model::new(cap);
-            pkts.iter().for_each(|p| m.offer(p));
-            assert_matches(&bounded, &m, "bounded offers");
         }
     }
 
@@ -983,6 +804,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        let _ = FlowTable::with_capacity(0);
+        FlowTable::unbounded().truncate_lru(0);
     }
 }

@@ -31,18 +31,14 @@ use std::collections::VecDeque;
 /// `buckets_per_window × this` live flows, keeping the engine's
 /// O(window) memory bound even on flow-id-free traffic where every
 /// distinct 5-tuple is a flow; overflow evicts the
-/// least-recently-updated flow deterministically.
+/// least-recently-updated flows deterministically (smallest key on
+/// ties).
 ///
-/// The budget is enforced **once, at the window merge** — buckets
-/// aggregate unbounded. A capacity-bounded table pays an LRU order
-/// index (a `BTreeSet` insert/remove pair) on every packet that
-/// advances a flow's last-seen time, which put two O(log n) tree
-/// operations in the per-packet hot path; an unbounded table is one
-/// hash probe per packet, and the merge keeps the budget's worth of
-/// most-recently-updated flows in a single O(flows) selection
-/// ([`FlowTable::truncate_lru`]) with the same deterministic
-/// least-recently-updated-first, smallest-key-on-ties policy. The
-/// merged table is only read, so its LRU index is never built.
+/// The budget is enforced **once, at the window merge**: buckets
+/// aggregate unbounded (one probe run per packet), and the merge keeps
+/// the budget's worth of most-recently-updated flows in a single
+/// O(flows) selection ([`FlowTable::truncate_lru`]). The merged table
+/// is then only read.
 ///
 /// This is a budget only: a bucket's table is pre-sized from the flow
 /// counts of the buckets that closed before it, not from this constant.
@@ -773,7 +769,7 @@ mod tests {
         assert_eq!((windows[1].flows, windows[1].syn_flows), (3, 0));
 
         // Matches the batch reference: a FlowTable over the same slice.
-        let batch = nettrace::FlowTable::from_packets(usize::MAX, &pkts[..60]);
+        let batch = nettrace::FlowTable::from_packets(&pkts[..60]);
         assert_eq!(windows[0].flows, batch.len() as u64);
         assert_eq!(windows[0].syn_flows, batch.syn_flows());
 
@@ -820,8 +816,7 @@ mod tests {
     #[test]
     fn merge_time_flow_budget_reports_the_same_windows() {
         // Many flows, heavily interleaved, SYNs scattered across both
-        // windows — every packet advances its flow's last-seen time,
-        // which is exactly the case that paid the order-index churn.
+        // windows — every packet advances its flow's last-seen time.
         let pkts: Vec<PacketRecord> = (0..2_000u64)
             .map(|i| {
                 let flow = (i % 97) as u32 + 1;
@@ -838,8 +833,7 @@ mod tests {
         assert_eq!((windows[0].flows, windows[0].syn_flows), (97, 97));
         assert_eq!((windows[1].flows, windows[1].syn_flows), (97, 1));
         for (i, win) in windows.iter().enumerate() {
-            let batch =
-                nettrace::FlowTable::from_packets(usize::MAX, &pkts[i * 1_000..(i + 1) * 1_000]);
+            let batch = nettrace::FlowTable::from_packets(&pkts[i * 1_000..(i + 1) * 1_000]);
             assert_eq!(win.flows, batch.len() as u64, "window {i}");
             assert_eq!(win.syn_flows, batch.syn_flows(), "window {i}");
         }

@@ -1,12 +1,13 @@
 //! Cross-check the telemetry self-sampling φ against the paper path.
 //!
-//! `obskit::series::fidelity_phi` re-implements the paired-χ² φ over
-//! obskit's log₂ buckets (obskit sits below `sampling` in the crate
-//! graph, so it cannot call `sampling::disparity` directly). This test
-//! pins the two implementations to each other: the same series pushed
-//! through `nettrace::Histogram` with explicit log₂ edges and scored
-//! by `sampling::disparity` must produce the same φ, for every
-//! systematic stride the self-check uses (k ∈ {2, 5, 10}).
+//! `obskit::series::fidelity_phi` bins a series into obskit's log₂
+//! buckets and `sampling::disparity` bins packet populations into
+//! `nettrace::Histogram`s; both score φ with the one kernel,
+//! `obskit::paired_phi`. This test pins the two binning paths to each
+//! other: the same series pushed through `nettrace::Histogram` with
+//! explicit log₂ edges and scored by `sampling::disparity` must produce
+//! bit-identical φ, for every systematic stride the self-check uses
+//! (k ∈ {2, 5, 10}).
 
 use nettrace::{BinSpec, Histogram};
 
@@ -43,8 +44,9 @@ fn obskit_fidelity_phi_matches_sampling_disparity() {
             smp.observe(*v as u64);
         }
         let report = sampling::disparity(&pop, &smp).expect("disparity defined");
-        assert!(
-            (phi_series - report.phi).abs() < 1e-12,
+        assert_eq!(
+            phi_series.to_bits(),
+            report.phi.to_bits(),
             "k={k}: series phi {phi_series} != disparity phi {}",
             report.phi
         );
@@ -66,7 +68,7 @@ fn crosscheck_holds_on_skewed_and_constant_series() {
         smp.observe(*v as u64);
     }
     let report = sampling::disparity(&pop, &smp).unwrap();
-    assert_eq!(phi, report.phi);
+    assert_eq!(phi.to_bits(), report.phi.to_bits());
     assert!(phi.abs() < 1e-15);
 
     // Period-2 bimodal with k=2: the downsample sees one mode only;
@@ -85,6 +87,6 @@ fn crosscheck_holds_on_skewed_and_constant_series() {
         smp.observe(*v as u64);
     }
     let report = sampling::disparity(&pop, &smp).unwrap();
-    assert!((phi - report.phi).abs() < 1e-12);
+    assert_eq!(phi.to_bits(), report.phi.to_bits());
     assert!(phi > 0.5, "k=2 must visibly distort a period-2 series");
 }

@@ -348,7 +348,7 @@ proptest! {
     #[test]
     fn flow_table_matches_reference_grouping(pkts in packet_stream(200)) {
         // An unbounded table is exactly a one-shot grouping by FlowKey.
-        let table = FlowTable::from_packets(usize::MAX, &pkts);
+        let table = FlowTable::from_packets(&pkts);
         let mut reference: std::collections::BTreeMap<FlowKey, (u64, bool, Micros)> =
             std::collections::BTreeMap::new();
         for p in &pkts {
@@ -371,8 +371,11 @@ proptest! {
     fn flow_table_eviction_never_corrupts_survivors(
         pkts in packet_stream(200), cap in 1usize..16
     ) {
-        let table = FlowTable::from_packets(cap, &pkts);
-        prop_assert!(table.len() <= cap);
+        let reference = FlowTable::from_packets(&pkts);
+        let mut table = reference.clone();
+        table.truncate_lru(cap);
+        prop_assert_eq!(table.len(), cap.min(reference.len()));
+        prop_assert_eq!(table.evicted_flows() as usize, reference.len() - table.len());
         // Conservation: every offered packet is live or was counted at
         // its flow's eviction.
         prop_assert_eq!(table.offered(), pkts.len() as u64);
@@ -380,44 +383,37 @@ proptest! {
             table.live_packets() + table.evicted_packets(),
             pkts.len() as u64
         );
-        // Survivors never exceed the true per-flow totals (an evicted
-        // flow that returns restarts; it never double-counts).
-        let reference = FlowTable::from_packets(usize::MAX, &pkts);
-        let truth: std::collections::BTreeMap<_, _> = reference.flows().collect();
-        for (key, rec) in table.flows() {
-            let full = truth.get(&key).expect("survivor exists in full grouping");
-            prop_assert!(rec.packets >= 1 && rec.packets <= full.packets);
-            prop_assert!(rec.last_ts <= full.last_ts);
-        }
+        // Survivors are the `cap` most recent flows (largest key on
+        // ties), each exactly as the full grouping has it.
+        let mut ranked: Vec<_> = reference.flows().collect();
+        ranked.sort_by_key(|&(key, rec)| std::cmp::Reverse((rec.last_ts, key)));
+        ranked.truncate(cap);
+        ranked.sort_by_key(|&(key, _)| key);
+        prop_assert_eq!(table.flows().collect::<Vec<_>>(), ranked);
     }
 
     #[test]
-    fn flow_table_batch_equals_stream(pkts in packet_stream(200), cap in 1usize..16) {
-        let batch = FlowTable::from_packets(cap, &pkts);
-        let mut streamed = FlowTable::with_capacity(cap);
+    fn flow_table_batch_equals_stream(pkts in packet_stream(200)) {
+        let batch = FlowTable::from_packets(&pkts);
+        let mut streamed = FlowTable::unbounded();
         for p in &pkts {
             streamed.offer(p);
         }
         let snapshot = |t: &FlowTable| t.flows().collect::<Vec<_>>();
         prop_assert_eq!(snapshot(&batch), snapshot(&streamed));
         prop_assert_eq!(batch.offered(), streamed.offered());
-        prop_assert_eq!(batch.evicted_flows(), streamed.evicted_flows());
-        prop_assert_eq!(batch.evicted_packets(), streamed.evicted_packets());
     }
 
     #[test]
     fn flow_table_offer_slice_equals_offer_fold_under_any_chunking(
         pkts in packet_stream(200),
-        cap_raw in 0usize..=64,
         chunks in prop::collection::vec(1usize..=50, 1..16),
     ) {
-        // 0 stands for an unbounded table.
-        let cap = if cap_raw == 0 { usize::MAX } else { cap_raw };
-        let mut folded = FlowTable::with_capacity(cap);
+        let mut folded = FlowTable::unbounded();
         for p in &pkts {
             folded.offer(p);
         }
-        let mut sliced = FlowTable::with_capacity(cap);
+        let mut sliced = FlowTable::unbounded();
         let mut rest: &[PacketRecord] = &pkts;
         for &len in chunks.iter().cycle() {
             if rest.is_empty() {
@@ -430,8 +426,6 @@ proptest! {
         let snapshot = |t: &FlowTable| t.flows().collect::<Vec<_>>();
         prop_assert_eq!(snapshot(&sliced), snapshot(&folded));
         prop_assert_eq!(sliced.offered(), folded.offered());
-        prop_assert_eq!(sliced.evicted_flows(), folded.evicted_flows());
-        prop_assert_eq!(sliced.evicted_packets(), folded.evicted_packets());
     }
 
     #[test]
@@ -440,9 +434,9 @@ proptest! {
     ) {
         let split = split_raw % (pkts.len() + 1);
         let mut merged = FlowTable::unbounded();
-        merged.merge(&FlowTable::from_packets(usize::MAX, &pkts[..split]));
-        merged.merge(&FlowTable::from_packets(usize::MAX, &pkts[split..]));
-        let whole = FlowTable::from_packets(usize::MAX, &pkts);
+        merged.merge(&FlowTable::from_packets(&pkts[..split]));
+        merged.merge(&FlowTable::from_packets(&pkts[split..]));
+        let whole = FlowTable::from_packets(&pkts);
         let snapshot = |t: &FlowTable| t.flows().collect::<Vec<_>>();
         prop_assert_eq!(snapshot(&merged), snapshot(&whole));
         prop_assert_eq!(merged.offered(), whole.offered());
